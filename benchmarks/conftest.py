@@ -142,21 +142,6 @@ def pytest_sessionfinish(session, exitstatus):
         artifact["unit"] = "ns"
         artifact["stream_sizes"] = sizes or {}
         artifact["ops"] = dict(sorted(ops.items()))
-        # bench-batch: setup_many vs the sequential loop over the same
-        # plant-mix scenario (acceptance target: speedup >= 3).
-        sequential = ops.get("test_bench_setup_sequential",
-                             {}).get("median_ns")
-        batched = ops.get("test_bench_setup_many", {}).get("median_ns")
-        if sequential and batched:
-            workload = getattr(module, "BATCH_WORKLOAD", {}) if module else {}
-            artifact["batch_setup"] = {
-                **workload,
-                "sequential_median_ns": sequential,
-                "batched_median_ns": batched,
-                "speedup": round(sequential / batched, 2),
-                "requests_per_sec_batched": round(
-                    workload.get("requests", 0) / (batched * 1e-9), 1),
-            }
         obs_summary = _obs_summary()
         if obs_summary is not None:
             artifact["obs"] = obs_summary

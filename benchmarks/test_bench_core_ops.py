@@ -85,13 +85,12 @@ def test_bench_switch_check(benchmark):
 
 
 # ----------------------------------------------------------------------
-# bench-batch: the setup_many pipeline against the sequential loop
+# Sequential setup of the Table 1 plant mix
 # ----------------------------------------------------------------------
 
-#: The batch scenario (embedded in ``BENCH_core_ops.json`` next to the
-#: measured throughput, via ``conftest.pytest_sessionfinish``): the full
-#: Table 1 plant mix on an 8-node ring, three terminals per node.
-BATCH_WORKLOAD = {
+#: The full Table 1 plant mix on an 8-node ring, three terminals per
+#: node.
+PLANT_MIX_WORKLOAD = {
     "workload": "plant_mix_workload",
     "ring_nodes": 8,
     "terminals_per_node": 3,
@@ -99,10 +98,10 @@ BATCH_WORKLOAD = {
 }
 
 
-def _batch_scenario():
+def _plant_mix_scenario():
     """Fresh ring + the plant-mix broadcast requests (setup untimed)."""
-    net = build_rtnet(BATCH_WORKLOAD["ring_nodes"],
-                      BATCH_WORKLOAD["terminals_per_node"],
+    net = build_rtnet(PLANT_MIX_WORKLOAD["ring_nodes"],
+                      PLANT_MIX_WORKLOAD["terminals_per_node"],
                       bounds={0: 3000.0})
     cac = NetworkCAC(net)
     requests = [
@@ -113,9 +112,9 @@ def _batch_scenario():
             priority=priority,
         )
         for (node, slot), (params, priority) in
-        sorted(plant_mix_workload(BATCH_WORKLOAD["ring_nodes"]).items())
+        sorted(plant_mix_workload(PLANT_MIX_WORKLOAD["ring_nodes"]).items())
     ]
-    assert len(requests) == BATCH_WORKLOAD["requests"]
+    assert len(requests) == PLANT_MIX_WORKLOAD["requests"]
     return (cac, requests), {}
 
 
@@ -124,23 +123,6 @@ def test_bench_setup_sequential(benchmark):
     def run(cac, requests):
         return [cac.setup(request) for request in requests]
 
-    established = benchmark.pedantic(run, setup=_batch_scenario,
+    established = benchmark.pedantic(run, setup=_plant_mix_scenario,
                                      rounds=5, iterations=1)
-    assert len(established) == BATCH_WORKLOAD["requests"]
-
-
-def test_bench_setup_many(benchmark):
-    """The batched pipeline: one shared group check per ring node.
-
-    ``conftest.pytest_sessionfinish`` records the ratio against the
-    sequential loop above under ``"batch_setup"`` in the artifact; the
-    acceptance target is >= 3x on the Table 1 plant mix with the
-    identical admitted set.
-    """
-    def run(cac, requests):
-        return cac.setup_many(requests)
-
-    outcome = benchmark.pedantic(run, setup=_batch_scenario,
-                                 rounds=5, iterations=1)
-    assert not outcome.failures
-    assert len(outcome.established) == BATCH_WORKLOAD["requests"]
+    assert len(established) == PLANT_MIX_WORKLOAD["requests"]

@@ -11,8 +11,8 @@ Run:  python examples/observability_demo.py
 """
 
 from repro import obs
+from repro.obs.clock import ManualClock
 from repro.obs.export import format_span_tree, to_prometheus
-from repro.robustness.retry import ManualClock
 from repro.rtnet.evaluation import establish_workload
 from repro.rtnet.workloads import plant_mix_workload
 

@@ -223,9 +223,6 @@ def build_parser() -> argparse.ArgumentParser:
                             help="emit Prometheus text exposition format")
     obs_cmd.add_argument("--spans", action="store_true",
                          help="also print the setup span trees")
-    obs_cmd.add_argument("--batched", action="store_true",
-                         help="establish the mix through the batched "
-                              "setup_many pipeline (shared group checks)")
 
     return parser
 
@@ -345,7 +342,7 @@ def _run_chaos(args) -> None:
 
     if args.obs:
         from . import obs
-        from .robustness.retry import ManualClock
+        from .obs.clock import ManualClock
 
         obs.enable(clock_source=ManualClock())
         try:
@@ -382,7 +379,7 @@ def _run_chaos(args) -> None:
 def _run_obs(args) -> None:
     from . import obs
     from .obs import export
-    from .robustness.retry import ManualClock
+    from .obs.clock import ManualClock
     from .rtnet.evaluation import establish_workload
     from .rtnet.workloads import plant_mix_workload
 
@@ -391,7 +388,6 @@ def _run_obs(args) -> None:
         network, established = establish_workload(
             plant_mix_workload(args.ring_nodes),
             ring_nodes=args.ring_nodes, terminals_per_node=3,
-            batched=args.batched,
         )
         setups = list(tracer.roots)
         network.teardown_all()
@@ -400,10 +396,9 @@ def _run_obs(args) -> None:
         elif args.prom:
             print(export.to_prometheus(registry), end="")
         else:
-            pipeline = "batched" if args.batched else "sequential"
-            print(f"plant mix on {args.ring_nodes} ring nodes "
-                  f"({pipeline}): {len(established)} connections "
-                  f"established and torn down")
+            print(f"plant mix on {args.ring_nodes} ring nodes: "
+                  f"{len(established)} connections established and torn "
+                  f"down")
             print(export.metrics_table(registry))
         if args.spans:
             for root in setups:

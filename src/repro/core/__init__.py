@@ -6,9 +6,8 @@ Re-exports the pieces a typical user composes:
 * the bit-stream algebra (:class:`BitStream`, :func:`aggregate`);
 * the worst-case analysis (:func:`delay_bound`);
 * per-switch and network-level admission control
-  (:class:`SwitchCAC`, :class:`NetworkCAC`) with the batched pipeline
-  (:meth:`NetworkCAC.setup_many`) and its layered state backends
-  (:class:`PortState`, :class:`AdmissionStore` -- see
+  (:class:`SwitchCAC`, :class:`NetworkCAC`) and the layered state
+  beneath them (:class:`PortState`, :class:`AdmissionStore` -- see
   ``docs/architecture.md``);
 * the event-driven admission plane (:class:`AdmissionPlane`) running
   concurrent in-flight setups on the shared simulation engine;
@@ -17,7 +16,7 @@ Re-exports the pieces a typical user composes:
 """
 
 from .accumulation import HARD, SOFT, CdvPolicy, HardCdv, SoftCdv, make_policy
-from .admission import BatchSetupResult, NetworkCAC
+from .admission import NetworkCAC
 from .baseline import (
     BandwidthAllocationCAC,
     PeakBandwidthCAC,
@@ -37,13 +36,8 @@ from .kernels import kernels_enabled
 from .plane import AdmissionPlane, SetupOutcome
 from .port_state import PortState
 from .server import AdmissionDecision, AuditEntry, CacServer, PlanReport
-from .store import (
-    AdmissionStore,
-    InMemoryAdmissionStore,
-    ShardedAdmissionStore,
-)
+from .store import AdmissionStore
 from .switch_cac import (
-    BatchCheckResult,
     CheckResult,
     Leg,
     PriorityBoundViolation,
@@ -77,14 +71,10 @@ __all__ = [
     "SwitchCAC",
     "Leg",
     "CheckResult",
-    "BatchCheckResult",
     "PriorityBoundViolation",
     "PortState",
     "AdmissionStore",
-    "InMemoryAdmissionStore",
-    "ShardedAdmissionStore",
     "NetworkCAC",
-    "BatchSetupResult",
     "AdmissionPlane",
     "SetupOutcome",
     "CacServer",

@@ -237,19 +237,6 @@ class PortState:
         in_link, replacement = replace
         return base.patched(self.sif(in_link), replacement)
 
-    def soa_with(self, replacements: Mapping[str, BitStream]) -> BitStream:
-        """``S'oa`` with several per-input aggregates substituted at once.
-
-        The batched-admission generalisation of ``soa(replace=...)``:
-        ``replacements`` maps incoming links to their candidate
-        (already filtered) aggregates.  Still one O(m) delta per
-        substituted link against the cached sum.
-        """
-        base = self.soa()
-        for in_link in sorted(replacements):
-            base = base.patched(self.sif(in_link), replacements[in_link])
-        return base
-
     def sof_higher(self, extra: Optional[Tuple[str, BitStream]] = None,
                    ) -> BitStream:
         """``Sof(j)(p)``: filtered higher-priority output interference.
@@ -269,22 +256,10 @@ class PortState:
                 self.on_cache(True, "sof")
             return cached
         in_link, stream = extra
-        return self.sof_higher_with({in_link: stream})
-
-    def sof_higher_with(self, extras: Mapping[str, BitStream]) -> BitStream:
-        """``S'of(j)(p)`` with candidate higher-priority streams added.
-
-        ``extras`` maps incoming links to the aggregate candidate
-        stream arriving there at some higher priority.  The batched
-        form of ``sof_higher(extra=...)``: each substituted link costs
-        one O(m) delta against the cached interference sum.
-        """
         total = self.higher_sum()
-        for in_link in sorted(extras):
-            combined = self.higher_sia(in_link) + extras[in_link]
-            total = total.patched(self.sif_higher(in_link),
-                                  self._filter(combined))
-        return total.filtered()
+        combined = self.higher_sia(in_link) + stream
+        return total.patched(self.sif_higher(in_link),
+                             self._filter(combined)).filtered()
 
     def service(self) -> ServiceCurve:
         """Memoized :class:`ServiceCurve` of ``Sof(j)(p)``."""
@@ -301,31 +276,19 @@ class PortState:
     # Incremental deltas
     # ------------------------------------------------------------------
 
-    def apply_same(self, in_link: str, stream: BitStream,
-                   add: bool, patch_caches: bool = True) -> None:
+    def apply_same(self, in_link: str, stream: BitStream, add: bool) -> None:
         """Patch the same-priority state for one admit/release delta.
 
         ``Sia``, ``Sif`` and the cached ``Soa`` sum are updated by a
         single ``+``/``-`` of the connection's stream (Algorithms
-        3.2/3.3) -- O(m) in the aggregate breakpoint count.
-
-        ``patch_caches=False`` is the bulk-apply mode of the batched
-        pipeline: the ground-truth ``Sia`` merge still runs (per leg,
-        in order -- bit-identity of the committed state depends on it)
-        but the derived caches are *invalidated* instead of patched.
-        A batch touching a port many times pays one lazy rebuild at the
-        next check instead of one patch per leg.
-
-        The headroom ledger is patched in *both* modes: its entries are
-        plain scalar running sums (one add/sub per delta), so there is
-        nothing to gain from deferring them, and the admission screen
-        must see current values even mid-batch.
+        3.2/3.3) -- O(m) in the aggregate breakpoint count, as are
+        the headroom ledger's scalar ``(sigma, rho)`` running sums.
         """
         sign = 1 if add else -1
         self.ledger_rate = self.ledger_rate + sign * stream.long_run_rate
         self.ledger_burst = self.ledger_burst + sign * stream.burst
         old_sia = self.sia(in_link)
-        if patch_caches and self._soa is None:
+        if self._soa is None:
             # Build the missing Soa cache *now*, from the pre-change
             # state, rather than at the next read.  Patched float caches
             # must be a function of the mutation sequence alone: if the
@@ -340,10 +303,6 @@ class PortState:
             self._sia.pop(in_link, None)
         else:
             self._sia[in_link] = new_sia
-        if not patch_caches:
-            self._sif.pop(in_link, None)
-            self._soa = None
-            return
         old_sif = self._sif.get(in_link)
         new_sif = self._filter(new_sia)
         self._sif[in_link] = new_sif
@@ -351,8 +310,7 @@ class PortState:
             old_sif = self._filter(old_sia)
         self._soa = self._soa.patched(old_sif, new_sif)
 
-    def apply_higher(self, in_link: str, stream: BitStream,
-                     add: bool, patch_caches: bool = True) -> None:
+    def apply_higher(self, in_link: str, stream: BitStream, add: bool) -> None:
         """Patch the interference caches after a higher-priority delta.
 
         Invoked on every *lower*-priority sibling when a stream is
@@ -360,25 +318,14 @@ class PortState:
         higher port's own :meth:`apply_same`, so a forced lazy rebuild
         of ``Sia(i, j)(p)`` still reads the pre-change aggregates.
         The final output filter and the ServiceCurve are cheap O(m)
-        rebuilds; they are just marked dirty.
-
-        ``patch_caches=False`` (bulk-apply mode) drops the affected
-        cache entries instead of patching them; see :meth:`apply_same`.
-        The higher-priority headroom ledger is patched in both modes
-        (scalar running sums, see :meth:`apply_same`).
+        rebuilds; they are just marked dirty.  The higher-priority
+        headroom ledger is patched by the same delta.
         """
         sign = 1 if add else -1
         self.ledger_higher_rate = (self.ledger_higher_rate
                                    + sign * stream.long_run_rate)
         self.ledger_higher_burst = (self.ledger_higher_burst
                                     + sign * stream.burst)
-        if not patch_caches:
-            self._higher.pop(in_link, None)
-            self._sif_higher.pop(in_link, None)
-            self._higher_sum = None
-            self._sof = None
-            self._service = None
-            return
         # Force the missing caches into existence *now*, from the
         # pre-change aggregates, so the running float sums are a
         # function of the mutation sequence alone (never of when an

@@ -83,12 +83,10 @@ class CacServer:
 
     def __init__(self, network: Network,
                  cdv_policy: Union[str, CdvPolicy] = "hard",
-                 filter_per_input: bool = True,
-                 store_factory=None):
+                 filter_per_input: bool = True):
         self.network = network
         self._cac = NetworkCAC(network, cdv_policy=cdv_policy,
-                               filter_per_input=filter_per_input,
-                               store_factory=store_factory)
+                               filter_per_input=filter_per_input)
         self._requests: Dict[str, ConnectionRequest] = {}
         self._audit: List[AuditEntry] = []
         self._sequence = 0
@@ -117,40 +115,6 @@ class CacServer:
         return AdmissionDecision(
             request.name, True, "admitted",
             e2e_bound=float(established.e2e_bound))
-
-    def request_setup_many(self, requests: Iterable[ConnectionRequest],
-                           ) -> List[AdmissionDecision]:
-        """Admit a batch of connections through the shared-check pipeline.
-
-        The batched counterpart of :meth:`request_setup`: decisions come
-        back in request order, refusals as decision objects rather than
-        exceptions, and the admitted set is exactly what one-by-one
-        :meth:`request_setup` calls would have admitted (see
-        :meth:`NetworkCAC.setup_many`).  Not all-or-nothing -- for that,
-        use :meth:`commit_plan`.
-        """
-        batch = list(requests)
-        outcome = self._cac.setup_many(batch)
-        established = {c.name: c for c in outcome.established}
-        decisions: List[AdmissionDecision] = []
-        for request in batch:
-            # pop: a duplicate name later in the batch is a refusal,
-            # exactly as its sequential setup would have been.
-            connection = established.pop(request.name, None)
-            if connection is not None:
-                self._requests[request.name] = request
-                self._log("setup", request.name,
-                          f"e2e_bound={connection.e2e_bound}")
-                decisions.append(AdmissionDecision(
-                    request.name, True, "admitted",
-                    e2e_bound=float(connection.e2e_bound)))
-            else:
-                reason = str(outcome.failures.get(
-                    request.name, "refused"))
-                self._log("reject", request.name, reason)
-                decisions.append(AdmissionDecision(
-                    request.name, False, reason))
-        return decisions
 
     def request_teardown(self, name: str) -> None:
         """Release an established connection."""

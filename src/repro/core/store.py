@@ -1,4 +1,4 @@
-"""Pluggable storage backends for a switch's CAC state.
+"""The store behind a switch's CAC state.
 
 :class:`~repro.core.switch_cac.SwitchCAC` is the admission *protocol*
 (checks, two-phase transitions, journaling, recovery); this module is
@@ -8,234 +8,45 @@ where its *state* lives.  An :class:`AdmissionStore` owns
   ``(out_link, priority)`` port, wired with the higher-priority sibling
   provider its interference caches need;
 * the committed and pending (reserved-but-uncommitted) leg maps of the
-  two-phase walk, plus the replayable per-reservation check results.
+  two-phase walk, plus the replayable per-reservation check results;
+* the *in-link rate ledger*: a running sum of the admitted long-run
+  rate entering via each incoming link, patched by the same deltas as
+  the port aggregates.  It is the single source of truth behind
+  ``SwitchCAC.in_link_utilization`` -- shared by the exact path and the
+  admission fast path, so the two can never disagree on in-link
+  feasibility.
 
 Everything the switch does -- admission checks, incremental deltas,
 journal replay, :meth:`SwitchCAC.verify_consistency` -- goes through
-this interface, so swapping the backend cannot change admission
-semantics.  Two backends ship:
-
-* :class:`InMemoryAdmissionStore` -- plain dicts, the default;
-* :class:`ShardedAdmissionStore` -- state partitioned by output link
-  across N in-memory shards.  Because the paper's aggregates never
-  couple *different* output links (only priorities of the same link
-  interact), out-link sharding is semantically free; it is the
-  stepping stone to concurrent per-shard admission in a follow-on PR.
-
-Iteration everywhere is **deterministic**: ports, links and priorities
-come back sorted, so batch grouping, serialization and Prometheus
+this class.  Iteration everywhere is **deterministic**: ports, links
+and priorities come back sorted, and committed/pending legs iterate in
+insertion order, so serialization, ground-truth rebuilds and Prometheus
 exposition are reproducible across runs regardless of configuration or
 admission order.
 """
 
 from __future__ import annotations
 
-import zlib
-from abc import ABC, abstractmethod
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple
 
 from ..exceptions import AdmissionError
 from .bitstream import Number
 from .port_state import CacheObserver, PortState
 
-__all__ = [
-    "AdmissionStore",
-    "InMemoryAdmissionStore",
-    "ShardedAdmissionStore",
-]
+__all__ = ["AdmissionStore"]
 
 
-class AdmissionStore(ABC):
-    """Storage interface behind one switch's CAC state.
-
-    The contract every backend must honour:
-
-    * :meth:`out_links`, :meth:`priorities` and :meth:`ports` iterate
-      in sorted order (determinism is part of the interface);
-    * :meth:`apply_delta` patches the lower-priority interference
-      caches *before* the port's own same-priority state, preserving
-      the incremental arithmetic
-      :meth:`~repro.core.switch_cac.SwitchCAC.recover` relies on for
-      bit-identical replay;
-    * committed/pending legs iterate in insertion order (ground-truth
-      rebuilds sum streams in admission order).
-
-    The base class also owns the *in-link rate ledger*: a running sum of
-    the admitted long-run rate entering via each incoming link, patched
-    by the same deltas as the port aggregates.  It is the single source
-    of truth behind ``SwitchCAC.in_link_utilization`` -- shared by the
-    exact path and the admission fast path, so the two can never
-    disagree on in-link feasibility.
-    """
+class AdmissionStore:
+    """Ports, legs and the in-link ledger of one switch, in plain dicts."""
 
     def __init__(self) -> None:
-        #: admitted long-run rate per incoming link (exact + fast path).
-        self._in_link_rate: Dict[str, Number] = {}
-
-    # -- port configuration and access ---------------------------------
-
-    @abstractmethod
-    def configure_link(self, out_link: str,
-                       bounds: Mapping[int, Number]) -> None:
-        """Create (or reconfigure) the ports of one output link."""
-
-    @abstractmethod
-    def has_link(self, out_link: str) -> bool:
-        """Is this output link configured?"""
-
-    @abstractmethod
-    def out_links(self) -> List[str]:
-        """Configured output links, sorted."""
-
-    @abstractmethod
-    def priorities(self, out_link: str) -> List[int]:
-        """Priorities served on one link, highest (smallest) first."""
-
-    @abstractmethod
-    def port(self, out_link: str, priority: int) -> PortState:
-        """The :class:`PortState` of one ``(out_link, priority)`` port."""
-
-    @abstractmethod
-    def ports(self) -> List[PortState]:
-        """Every port, sorted by ``(out_link, priority)``."""
-
-    def ports_for(self, out_link: str) -> List[PortState]:
-        """The ports of one output link, highest priority first."""
-        return [self.port(out_link, priority)
-                for priority in self.priorities(out_link)]
-
-    def ports_below(self, out_link: str, priority: int) -> List[PortState]:
-        """Same-link ports of strictly lower priority (larger number)."""
-        return [port for port in self.ports_for(out_link)
-                if port.priority > priority]
-
-    # -- attachment (observer / filtering mode) ------------------------
-
-    @abstractmethod
-    def attach(self, filter_per_input: bool,
-               on_cache: Optional[CacheObserver] = None) -> None:
-        """Bind the owning switch's filtering mode and cache observer.
-
-        Called once by :class:`SwitchCAC` at construction; applies to
-        already-configured ports and to every port configured later.
-        """
-
-    # -- leg bookkeeping -----------------------------------------------
-
-    @abstractmethod
-    def committed(self) -> Mapping[str, Any]:
-        """Committed legs by connection id, in insertion order."""
-
-    @abstractmethod
-    def pending(self) -> Mapping[str, Any]:
-        """Reserved-but-uncommitted legs, in insertion order."""
-
-    @abstractmethod
-    def get_committed(self, connection_id: str) -> Optional[Any]:
-        """One committed leg, or ``None``."""
-
-    @abstractmethod
-    def get_pending(self, connection_id: str) -> Optional[Any]:
-        """One pending leg, or ``None``."""
-
-    @abstractmethod
-    def put_committed(self, connection_id: str, leg: Any) -> None:
-        """Record a committed leg."""
-
-    @abstractmethod
-    def put_pending(self, connection_id: str, leg: Any,
-                    result: Any = None) -> None:
-        """Record a reservation (with its replayable check result)."""
-
-    @abstractmethod
-    def pop_committed(self, connection_id: str) -> Optional[Any]:
-        """Remove and return a committed leg, or ``None``."""
-
-    @abstractmethod
-    def pop_pending(self, connection_id: str) -> Optional[Any]:
-        """Remove and return a pending leg (and its result), or ``None``."""
-
-    @abstractmethod
-    def pending_result(self, connection_id: str) -> Optional[Any]:
-        """The stored check result of one reservation, or ``None``."""
-
-    # -- incremental deltas --------------------------------------------
-
-    def apply_delta(self, in_link: str, out_link: str, priority: int,
-                    stream: Any, add: bool,
-                    patch_caches: bool = True) -> None:
-        """Patch every affected port for one admit/release delta.
-
-        Lower-priority interference caches are patched first (their
-        forced lazy rebuilds must read pre-change aggregates), then the
-        port's own same-priority state.  ``patch_caches=False`` is the
-        batched pipeline's bulk mode: the ground-truth ``Sia`` update
-        still runs per leg in order, but derived caches are dropped
-        rather than patched (see :meth:`PortState.apply_same`).
-        """
-        rate = stream.long_run_rate
-        base = self._in_link_rate.get(in_link, 0)
-        self._in_link_rate[in_link] = (base + rate) if add else (base - rate)
-        for lower in self.ports_below(out_link, priority):
-            lower.apply_higher(in_link, stream, add,
-                               patch_caches=patch_caches)
-        self.port(out_link, priority).apply_same(in_link, stream, add,
-                                                 patch_caches=patch_caches)
-
-    def in_link_rate(self, in_link: str) -> Number:
-        """Total admitted long-run rate entering via one incoming link."""
-        return self._in_link_rate.get(in_link, 0)
-
-    # -- lifecycle ------------------------------------------------------
-
-    @abstractmethod
-    def clear_volatile(self) -> None:
-        """Drop legs, reservations and every aggregate cache.
-
-        Port *configuration* (advertised bounds) survives -- it is boot
-        configuration, not run-time state.  Models a node crash.
-        """
-
-    def snapshot(self) -> Dict[str, List[Any]]:
-        """The state-determining legs, as ``{"committed", "pending"}``.
-
-        Legs fully determine every aggregate, so this is the whole
-        story; :meth:`restore` rebuilds the rest deterministically.
-        The lists preserve insertion (admission) order.
-        """
-        return {
-            "committed": list(self.committed().values()),
-            "pending": list(self.pending().values()),
-        }
-
-    def restore(self, snapshot: Mapping[str, Iterable[Any]]) -> None:
-        """Rebuild the store from a :meth:`snapshot`.
-
-        Clears the volatile state, then re-applies every leg in the
-        snapshot's order through the same incremental arithmetic as
-        live admission, so the rebuilt aggregates are deterministic.
-        """
-        self.clear_volatile()
-        for kind in ("committed", "pending"):
-            for leg in snapshot.get(kind, ()):
-                if kind == "committed":
-                    self.put_committed(leg.connection_id, leg)
-                else:
-                    self.put_pending(leg.connection_id, leg)
-                self.apply_delta(leg.in_link, leg.out_link, leg.priority,
-                                 leg.stream, add=True)
-
-
-class InMemoryAdmissionStore(AdmissionStore):
-    """The default backend: plain in-process dictionaries."""
-
-    def __init__(self) -> None:
-        super().__init__()
         self._bounds: Dict[str, Dict[int, Number]] = {}
         self._ports: Dict[Tuple[str, int], PortState] = {}
         self._committed: Dict[str, Any] = {}
         self._pending: Dict[str, Any] = {}
         self._pending_results: Dict[str, Any] = {}
+        #: admitted long-run rate per incoming link (exact + fast path).
+        self._in_link_rate: Dict[str, Number] = {}
         self._filter_per_input = True
         self._on_cache: Optional[CacheObserver] = None
 
@@ -243,6 +54,7 @@ class InMemoryAdmissionStore(AdmissionStore):
 
     def configure_link(self, out_link: str,
                        bounds: Mapping[int, Number]) -> None:
+        """Create (or reconfigure) the ports of one output link."""
         self._bounds[out_link] = dict(bounds)
         for priority, bound in bounds.items():
             key = (out_link, priority)
@@ -268,15 +80,19 @@ class InMemoryAdmissionStore(AdmissionStore):
         return provider
 
     def has_link(self, out_link: str) -> bool:
+        """Is this output link configured?"""
         return out_link in self._bounds
 
     def out_links(self) -> List[str]:
+        """Configured output links, sorted."""
         return sorted(self._bounds)
 
     def priorities(self, out_link: str) -> List[int]:
+        """Priorities served on one link, highest (smallest) first."""
         return sorted(self._bounds[out_link])
 
     def port(self, out_link: str, priority: int) -> PortState:
+        """The :class:`PortState` of one ``(out_link, priority)`` port."""
         try:
             return self._ports[(out_link, priority)]
         except KeyError:
@@ -285,10 +101,26 @@ class InMemoryAdmissionStore(AdmissionStore):
             ) from None
 
     def ports(self) -> List[PortState]:
+        """Every port, sorted by ``(out_link, priority)``."""
         return [port for _key, port in sorted(self._ports.items())]
+
+    def ports_for(self, out_link: str) -> List[PortState]:
+        """The ports of one output link, highest priority first."""
+        return [self.port(out_link, priority)
+                for priority in self.priorities(out_link)]
+
+    def ports_below(self, out_link: str, priority: int) -> List[PortState]:
+        """Same-link ports of strictly lower priority (larger number)."""
+        return [port for port in self.ports_for(out_link)
+                if port.priority > priority]
 
     def attach(self, filter_per_input: bool,
                on_cache: Optional[CacheObserver] = None) -> None:
+        """Bind the owning switch's filtering mode and cache observer.
+
+        Applies to already-configured ports and to every port
+        configured later.
+        """
         self._filter_per_input = filter_per_input
         self._on_cache = on_cache
         for port in self._ports.values():
@@ -299,39 +131,76 @@ class InMemoryAdmissionStore(AdmissionStore):
     # -- legs -----------------------------------------------------------
 
     def committed(self) -> Mapping[str, Any]:
+        """Committed legs by connection id, in insertion order."""
         return dict(self._committed)
 
     def pending(self) -> Mapping[str, Any]:
+        """Reserved-but-uncommitted legs, in insertion order."""
         return dict(self._pending)
 
     def get_committed(self, connection_id: str) -> Optional[Any]:
+        """One committed leg, or ``None``."""
         return self._committed.get(connection_id)
 
     def get_pending(self, connection_id: str) -> Optional[Any]:
+        """One pending leg, or ``None``."""
         return self._pending.get(connection_id)
 
     def put_committed(self, connection_id: str, leg: Any) -> None:
+        """Record a committed leg."""
         self._committed[connection_id] = leg
 
     def put_pending(self, connection_id: str, leg: Any,
                     result: Any = None) -> None:
+        """Record a reservation (with its replayable check result)."""
         self._pending[connection_id] = leg
         if result is not None:
             self._pending_results[connection_id] = result
 
     def pop_committed(self, connection_id: str) -> Optional[Any]:
+        """Remove and return a committed leg, or ``None``."""
         return self._committed.pop(connection_id, None)
 
     def pop_pending(self, connection_id: str) -> Optional[Any]:
+        """Remove and return a pending leg (and its result), or ``None``."""
         self._pending_results.pop(connection_id, None)
         return self._pending.pop(connection_id, None)
 
     def pending_result(self, connection_id: str) -> Optional[Any]:
+        """The stored check result of one reservation, or ``None``."""
         return self._pending_results.get(connection_id)
+
+    # -- incremental deltas --------------------------------------------
+
+    def apply_delta(self, in_link: str, out_link: str, priority: int,
+                    stream: Any, add: bool) -> None:
+        """Patch every affected port for one admit/release delta.
+
+        Lower-priority interference caches are patched first (their
+        forced lazy rebuilds must read pre-change aggregates), then the
+        port's own same-priority state -- the incremental arithmetic
+        :meth:`~repro.core.switch_cac.SwitchCAC.recover` relies on for
+        bit-identical replay.
+        """
+        rate = stream.long_run_rate
+        base = self._in_link_rate.get(in_link, 0)
+        self._in_link_rate[in_link] = (base + rate) if add else (base - rate)
+        for lower in self.ports_below(out_link, priority):
+            lower.apply_higher(in_link, stream, add)
+        self.port(out_link, priority).apply_same(in_link, stream, add)
+
+    def in_link_rate(self, in_link: str) -> Number:
+        """Total admitted long-run rate entering via one incoming link."""
+        return self._in_link_rate.get(in_link, 0)
 
     # -- lifecycle ------------------------------------------------------
 
     def clear_volatile(self) -> None:
+        """Drop legs, reservations and every aggregate cache.
+
+        Port *configuration* (advertised bounds) survives -- it is boot
+        configuration, not run-time state.  Models a node crash.
+        """
         self._committed.clear()
         self._pending.clear()
         self._pending_results.clear()
@@ -339,174 +208,38 @@ class InMemoryAdmissionStore(AdmissionStore):
         for port in self._ports.values():
             port.clear()
 
+    def snapshot(self) -> Dict[str, List[Any]]:
+        """The state-determining legs, as ``{"committed", "pending"}``.
+
+        Legs fully determine every aggregate, so this is the whole
+        story; :meth:`restore` rebuilds the rest deterministically.
+        The lists preserve insertion (admission) order.
+        """
+        return {
+            "committed": list(self._committed.values()),
+            "pending": list(self._pending.values()),
+        }
+
+    def restore(self, snapshot: Mapping[str, Iterable[Any]]) -> None:
+        """Rebuild the store from a :meth:`snapshot`.
+
+        Clears the volatile state, then re-applies every leg in the
+        snapshot's order through the same incremental arithmetic as
+        live admission, so the rebuilt aggregates are deterministic.
+        """
+        self.clear_volatile()
+        for kind in ("committed", "pending"):
+            for leg in snapshot.get(kind, ()):
+                if kind == "committed":
+                    self.put_committed(leg.connection_id, leg)
+                else:
+                    self.put_pending(leg.connection_id, leg)
+                self.apply_delta(leg.in_link, leg.out_link, leg.priority,
+                                 leg.stream, add=True)
+
     def __repr__(self) -> str:
         return (
-            f"InMemoryAdmissionStore(links={self.out_links()}, "
+            f"AdmissionStore(links={self.out_links()}, "
             f"committed={len(self._committed)}, "
             f"pending={len(self._pending)})"
-        )
-
-
-def _shard_of(out_link: str, shard_count: int) -> int:
-    """Deterministic (process-independent) shard of one output link."""
-    return zlib.crc32(out_link.encode("utf-8")) % shard_count
-
-
-class ShardedAdmissionStore(AdmissionStore):
-    """State partitioned by output link across N in-memory shards.
-
-    The paper's aggregates couple priorities of the *same* output link
-    but never different links, so routing every port -- and every leg,
-    by its leg's output link -- to ``crc32(out_link) % shards`` cannot
-    change any admission decision.  What it buys: each shard is an
-    independent :class:`InMemoryAdmissionStore` that a follow-on PR can
-    put behind its own lock or worker.
-
-    Iteration (ports, links, committed/pending legs) is globally
-    ordered: links sorted across shards, legs in global insertion
-    order (tracked by a shared index), so snapshots, ground-truth
-    rebuilds and serialization stay byte-reproducible.
-    """
-
-    def __init__(self, shard_count: int = 4):
-        super().__init__()
-        if shard_count < 1:
-            raise ValueError(
-                f"shard_count must be >= 1, got {shard_count}"
-            )
-        self.shard_count = shard_count
-        self._shards = [InMemoryAdmissionStore()
-                        for _ in range(shard_count)]
-        #: connection id -> shard index, in global insertion order.
-        self._leg_shard: Dict[str, int] = {}
-
-    # -- routing --------------------------------------------------------
-
-    def shard_of_link(self, out_link: str) -> int:
-        """Which shard holds one output link's ports."""
-        return _shard_of(out_link, self.shard_count)
-
-    def _link_shard(self, out_link: str) -> InMemoryAdmissionStore:
-        return self._shards[self.shard_of_link(out_link)]
-
-    def shards(self) -> List[InMemoryAdmissionStore]:
-        """The backing shards (read-mostly; for tests and diagnostics)."""
-        return list(self._shards)
-
-    # -- ports ----------------------------------------------------------
-
-    def configure_link(self, out_link: str,
-                       bounds: Mapping[int, Number]) -> None:
-        self._link_shard(out_link).configure_link(out_link, bounds)
-
-    def has_link(self, out_link: str) -> bool:
-        return self._link_shard(out_link).has_link(out_link)
-
-    def out_links(self) -> List[str]:
-        links: List[str] = []
-        for shard in self._shards:
-            links.extend(shard.out_links())
-        return sorted(links)
-
-    def priorities(self, out_link: str) -> List[int]:
-        return self._link_shard(out_link).priorities(out_link)
-
-    def port(self, out_link: str, priority: int) -> PortState:
-        return self._link_shard(out_link).port(out_link, priority)
-
-    def ports(self) -> List[PortState]:
-        everything: List[PortState] = []
-        for shard in self._shards:
-            everything.extend(shard.ports())
-        return sorted(everything,
-                      key=lambda port: (port.out_link, port.priority))
-
-    def attach(self, filter_per_input: bool,
-               on_cache: Optional[CacheObserver] = None) -> None:
-        for shard in self._shards:
-            shard.attach(filter_per_input, on_cache)
-
-    # -- legs -----------------------------------------------------------
-
-    def committed(self) -> Mapping[str, Any]:
-        legs: Dict[str, Any] = {}
-        for connection_id, index in self._leg_shard.items():
-            leg = self._shards[index].get_committed(connection_id)
-            if leg is not None:
-                legs[connection_id] = leg
-        return legs
-
-    def pending(self) -> Mapping[str, Any]:
-        legs: Dict[str, Any] = {}
-        for connection_id, index in self._leg_shard.items():
-            leg = self._shards[index].get_pending(connection_id)
-            if leg is not None:
-                legs[connection_id] = leg
-        return legs
-
-    def get_committed(self, connection_id: str) -> Optional[Any]:
-        index = self._leg_shard.get(connection_id)
-        if index is None:
-            return None
-        return self._shards[index].get_committed(connection_id)
-
-    def get_pending(self, connection_id: str) -> Optional[Any]:
-        index = self._leg_shard.get(connection_id)
-        if index is None:
-            return None
-        return self._shards[index].get_pending(connection_id)
-
-    def put_committed(self, connection_id: str, leg: Any) -> None:
-        index = self.shard_of_link(leg.out_link)
-        # Move-to-end so global iteration order matches the in-memory
-        # backend's (a commit re-inserts at the tail of its dict).
-        self._leg_shard.pop(connection_id, None)
-        self._leg_shard[connection_id] = index
-        self._shards[index].put_committed(connection_id, leg)
-
-    def put_pending(self, connection_id: str, leg: Any,
-                    result: Any = None) -> None:
-        index = self.shard_of_link(leg.out_link)
-        self._leg_shard.pop(connection_id, None)
-        self._leg_shard[connection_id] = index
-        self._shards[index].put_pending(connection_id, leg, result)
-
-    def pop_committed(self, connection_id: str) -> Optional[Any]:
-        index = self._leg_shard.get(connection_id)
-        if index is None:
-            return None
-        leg = self._shards[index].pop_committed(connection_id)
-        if leg is not None and \
-                self._shards[index].get_pending(connection_id) is None:
-            self._leg_shard.pop(connection_id, None)
-        return leg
-
-    def pop_pending(self, connection_id: str) -> Optional[Any]:
-        index = self._leg_shard.get(connection_id)
-        if index is None:
-            return None
-        leg = self._shards[index].pop_pending(connection_id)
-        if leg is not None and \
-                self._shards[index].get_committed(connection_id) is None:
-            self._leg_shard.pop(connection_id, None)
-        return leg
-
-    def pending_result(self, connection_id: str) -> Optional[Any]:
-        index = self._leg_shard.get(connection_id)
-        if index is None:
-            return None
-        return self._shards[index].pending_result(connection_id)
-
-    # -- lifecycle ------------------------------------------------------
-
-    def clear_volatile(self) -> None:
-        for shard in self._shards:
-            shard.clear_volatile()
-        self._leg_shard.clear()
-        self._in_link_rate.clear()
-
-    def __repr__(self) -> str:
-        return (
-            f"ShardedAdmissionStore(shards={self.shard_count}, "
-            f"links={self.out_links()}, legs={len(self._leg_shard)})"
         )

@@ -36,11 +36,9 @@ recovery, metrics.  The *state* lives one layer down: every
 :class:`~repro.core.port_state.PortState` holding its aggregates,
 incremental-delta caches and memoized
 :class:`~repro.core.delay_bound.ServiceCurve`, and all ports plus the
-committed/pending leg maps live behind a pluggable
-:class:`~repro.core.store.AdmissionStore` (in-memory by default,
-sharded by output link as the concurrency stepping stone).  Checks,
-journal replay and :meth:`verify_consistency` all go through the same
-store interface, so the backend cannot change admission semantics.
+committed/pending leg maps live in one
+:class:`~repro.core.store.AdmissionStore`.  Checks, journal replay and
+:meth:`verify_consistency` all go through that store.
 
 Transactional setup (see ``docs/robustness.md``): the two-phase network
 walk first *reserves* a leg (:meth:`reserve` -- resources held, not yet
@@ -53,16 +51,6 @@ stable storage -- so that :meth:`crash` (volatile caches lost) followed
 by :meth:`recover` (op-for-op journal replay, in-flight reservations
 discarded) restores a state bit-identical to the pre-crash committed
 state.
-
-Batched admission (see ``docs/architecture.md``): :meth:`check_batch`
-evaluates a whole group of candidate legs in one pass, sharing the
-aggregate recomputation and higher-priority interference sums across
-the group.  The group check is *conservative*: it computes each port's
-bounds with **every** candidate admitted at once, so by monotonicity of
-the delay bound in the arrival and interference streams, a passing
-group check proves that admitting the candidates one by one -- in any
-order, any subset -- would also pass.  :meth:`reserve_checked` then
-applies a pre-approved leg without re-running the per-leg check.
 """
 
 from __future__ import annotations
@@ -77,14 +65,13 @@ from ..obs import clock as _oclock
 from ..obs import metrics as _om
 from ..obs import spans as _ospans
 from ..robustness.journal import AdmissionJournal
-from .bitstream import BitStream, Number, ZERO_STREAM, aggregate
+from .bitstream import BitStream, Number, ZERO_STREAM
 from .delay_bound import (backlog_bound_with_higher, delay_bound,
                           latency_rate_bound)
 from .port_state import PortState
-from .store import AdmissionStore, InMemoryAdmissionStore
+from .store import AdmissionStore
 
-__all__ = ["SwitchCAC", "Leg", "CheckResult", "BatchCheckResult",
-           "PriorityBoundViolation"]
+__all__ = ["SwitchCAC", "Leg", "CheckResult", "PriorityBoundViolation"]
 
 #: Derived-aggregate caches whose hit/miss behaviour is observable.
 _CACHES = ("sif", "higher", "sif_higher", "higher_sum", "soa", "sof",
@@ -125,8 +112,7 @@ class _SwitchMetrics:
                  "check_seconds", "admits", "reserves", "commits",
                  "rollbacks", "releases", "expiries", "incremental",
                  "recoveries", "recoveries_verified", "replayed",
-                 "batch_checks", "batch_legs", "cache_hits", "cache_misses",
-                 "screen")
+                 "cache_hits", "cache_misses", "screen")
 
     def __init__(self, registry, switch: str):
         self.generation = _om._generation
@@ -152,10 +138,6 @@ class _SwitchMetrics:
             "cac_recoveries_verified_total", switch=switch)
         self.replayed = registry.gauge("cac_recovery_replayed_entries",
                                        switch=switch)
-        self.batch_checks = registry.counter("cac_batch_checks_total",
-                                             switch=switch)
-        self.batch_legs = registry.counter("cac_batch_legs_total",
-                                           switch=switch)
         self.cache_hits = {
             cache: registry.counter("cac_cache_hits_total", switch=switch,
                                     cache=cache)
@@ -230,31 +212,6 @@ class CheckResult:
         return not self.violations
 
 
-@dataclass(frozen=True, slots=True)
-class BatchCheckResult:
-    """Outcome of one :meth:`SwitchCAC.check_batch` group check.
-
-    ``computed_bounds`` maps each checked ``(out_link, priority)`` port
-    to its bound *with every candidate in the batch admitted at once*;
-    ``violations`` maps out links to the bound failures there.  By
-    monotonicity, ``admitted`` implies every candidate would also be
-    admitted individually, in any order; a failing group check says
-    nothing per-candidate -- callers fall back to sequential checks.
-    ``results`` holds one conservative :class:`CheckResult` per
-    candidate connection id (the group bounds of its output link).
-    """
-
-    switch: str
-    computed_bounds: Mapping[Tuple[str, int], Number]
-    violations: Mapping[str, Tuple[PriorityBoundViolation, ...]]
-    results: Mapping[str, CheckResult]
-
-    @property
-    def admitted(self) -> bool:
-        """True when every port keeps its guarantee with the whole batch."""
-        return not any(self.violations.values())
-
-
 class SwitchCAC:
     """CAC bookkeeping and admission checks for a single switch.
 
@@ -268,13 +225,8 @@ class SwitchCAC:
         at the output port, which models the smoothing a real link
         performs and tightens the bounds.  Setting it False reproduces
         the coarser "no link filtering" analysis for the ablation bench.
-    store:
-        The :class:`~repro.core.store.AdmissionStore` backend holding
-        every port's :class:`~repro.core.port_state.PortState` and the
-        two-phase leg maps; defaults to a fresh
-        :class:`~repro.core.store.InMemoryAdmissionStore`.
     fast_path:
-        Whether :meth:`check`/:meth:`check_batch` consult the headroom
+        Whether :meth:`check` consults the headroom
         ledger screen before falling through to the exact
         :func:`~repro.core.delay_bound.delay_bound` evaluation.  The
         screen is decision-identical to the exact path (both of its
@@ -296,7 +248,6 @@ class SwitchCAC:
     """
 
     def __init__(self, name: str, filter_per_input: bool = True,
-                 store: Optional[AdmissionStore] = None,
                  fast_path: Optional[bool] = None):
         self.name = name
         self.filter_per_input = filter_per_input
@@ -304,7 +255,7 @@ class SwitchCAC:
         self.fast_path = (_fast_path_default() if fast_path is None
                           else bool(fast_path))
         #: all CAC state -- ports, caches, committed/pending legs.
-        self._store = store if store is not None else InMemoryAdmissionStore()
+        self._store = AdmissionStore()
         self._store.attach(filter_per_input, self._count_cache)
         #: stable storage: survives crash(), drives recover().
         self._journal = AdmissionJournal()
@@ -343,7 +294,7 @@ class SwitchCAC:
 
     @property
     def store(self) -> AdmissionStore:
-        """The pluggable state backend."""
+        """The store holding every port and leg of this switch."""
         return self._store
 
     def configure_link(self, out_link: str,
@@ -377,8 +328,8 @@ class SwitchCAC:
     def out_links(self) -> List[str]:
         """Names of the configured output links, sorted.
 
-        Deterministic (sorted) so batch grouping, serialization and
-        Prometheus exposition are reproducible across runs.
+        Deterministic (sorted) so serialization and Prometheus
+        exposition are reproducible across runs.
         """
         return self._store.out_links()
 
@@ -477,8 +428,7 @@ class SwitchCAC:
     # ------------------------------------------------------------------
 
     def _apply(self, in_link: str, out_link: str, priority: int,
-               stream: BitStream, add: bool,
-               patch_caches: bool = True) -> None:
+               stream: BitStream, add: bool) -> None:
         """Patch every cached aggregate for one admit/release delta.
 
         Same-priority state -- ``Sia``, ``Sif`` and the ``Soa`` sum --
@@ -490,18 +440,11 @@ class SwitchCAC:
         patching lives in :meth:`PortState.apply_same` /
         :meth:`PortState.apply_higher`, orchestrated by
         :meth:`AdmissionStore.apply_delta`.
-
-        ``patch_caches=False`` (the batched pipeline's bulk mode)
-        invalidates the derived caches instead of patching them --
-        right when a batch is about to touch the same port once per
-        member, making a single lazy rebuild cheaper than the patches.
-        The ground-truth ``Sia`` merge always runs per leg, in order.
         """
         obs = self._rebind()
         if obs.enabled:
             obs.incremental.inc()
-        self._store.apply_delta(in_link, out_link, priority, stream, add,
-                                patch_caches=patch_caches)
+        self._store.apply_delta(in_link, out_link, priority, stream, add)
 
     # ------------------------------------------------------------------
     # Admission (Steps 1-6)
@@ -530,8 +473,9 @@ class SwitchCAC:
                     obs.check_rejections.inc()
         return result
 
-    def _validate_port(self, out_link: str, priority: int) -> None:
-        """Raise :class:`AdmissionError` for an unconfigured port."""
+    def _check_impl(self, in_link: str, out_link: str, priority: int,
+                    stream: BitStream) -> CheckResult:
+        self._ensure_up()
         if not self._store.has_link(out_link):
             raise AdmissionError(
                 f"switch {self.name!r} has no output link {out_link!r}"
@@ -541,11 +485,6 @@ class SwitchCAC:
                 f"switch {self.name!r} does not serve priority {priority} "
                 f"on link {out_link!r}"
             )
-
-    def _check_impl(self, in_link: str, out_link: str, priority: int,
-                    stream: BitStream) -> CheckResult:
-        self._ensure_up()
-        self._validate_port(out_link, priority)
         port = self._store.port(out_link, priority)
 
         computed: Dict[int, Number] = {}
@@ -704,188 +643,6 @@ class SwitchCAC:
             return None
         return bound
 
-    def check_batch(self, candidates: Sequence[Leg]) -> BatchCheckResult:
-        """One shared admission check for a whole group of candidates.
-
-        Computes, per affected ``(out_link, priority)`` port, the delay
-        bound with **every** candidate leg admitted at once -- one
-        aggregate substitution and one bound evaluation per port
-        instead of one per candidate.  Because the delay bound is
-        monotone in both the arrival stream and the higher-priority
-        interference, a passing group check proves that admitting any
-        subset of the candidates, in any order, passes too; callers use
-        that to skip the per-leg checks entirely.  A failing group
-        check is *not* a per-candidate verdict -- the batch pipeline
-        falls back to sequential checks to find the exact admissible
-        prefix set.
-
-        Does not mutate state.  Raises :class:`AdmissionError` for a
-        candidate on an unconfigured port, exactly like :meth:`check`.
-        """
-        self._ensure_up()
-        obs = self._rebind()
-        if obs.enabled:
-            obs.batch_checks.inc()
-            obs.batch_legs.inc(len(candidates))
-
-        for leg in candidates:
-            self._validate_port(leg.out_link, leg.priority)
-
-        # Group the candidate streams: (out_link, priority) -> in_link
-        # -> aggregated candidate stream (one k-way merge per group).
-        collected: Dict[Tuple[str, int], Dict[str, List[BitStream]]] = {}
-        in_link_rates: Dict[str, Number] = {}
-        for leg in candidates:
-            pair = collected.setdefault((leg.out_link, leg.priority), {})
-            pair.setdefault(leg.in_link, []).append(leg.stream)
-            in_link_rates[leg.in_link] = (
-                in_link_rates.get(leg.in_link, 0)
-                + leg.stream.long_run_rate)
-        grouped: Dict[Tuple[str, int], Dict[str, BitStream]] = {
-            key: {in_link: aggregate(streams)
-                  for in_link, streams in per_input.items()}
-            for key, per_input in collected.items()
-        }
-
-        computed: Dict[Tuple[str, int], Number] = {}
-        violations: Dict[str, List[PriorityBoundViolation]] = {}
-
-        # In-link feasibility of the whole batch: if the total admitted
-        # + candidate rate fits every incoming link, every subset fits.
-        infeasible_links = {
-            in_link for in_link, rate in in_link_rates.items()
-            if self._store.in_link_rate(in_link) + rate > 1
-        }
-        if infeasible_links:
-            for (out_link, priority), per_input in sorted(grouped.items()):
-                if not infeasible_links.intersection(per_input):
-                    continue
-                computed[(out_link, priority)] = math.inf
-                violations.setdefault(out_link, []).append(
-                    PriorityBoundViolation(
-                        priority, math.inf,
-                        self._store.port(out_link, priority).advertised_bound,
-                    ))
-            return self._batch_result(candidates, computed, violations)
-
-        affected_links = sorted({out_link for out_link, _p in grouped})
-
-        if self.fast_path:
-            screened = self._screen_batch(affected_links, grouped)
-            if screened is not None:
-                self._note_screen("accept")
-                return self._batch_result(candidates, screened, violations)
-            self._note_screen("exact")
-
-        for out_link in affected_links:
-            # Candidate streams per priority on this link, for the
-            # "higher-priority interference" side of the lower checks.
-            extras_above: Dict[str, BitStream] = {}
-            for port in self._store.ports_for(out_link):
-                priority = port.priority
-                candidates_here = grouped.get((out_link, priority), {})
-                if not candidates_here and not extras_above:
-                    continue  # port unaffected by the batch
-                if candidates_here:
-                    arrivals = port.soa_with({
-                        in_link: port._filter(port.sia(in_link) + stream)
-                        for in_link, stream in candidates_here.items()
-                    })
-                else:
-                    arrivals = port.soa()
-                if arrivals.is_zero:
-                    pass  # no traffic to disturb
-                else:
-                    if extras_above:
-                        interference = port.sof_higher_with(extras_above)
-                        bound = delay_bound(arrivals, interference)
-                    else:
-                        bound = delay_bound(arrivals, service=port.service())
-                    computed[(out_link, priority)] = bound
-                    if bound > port.advertised_bound:
-                        violations.setdefault(out_link, []).append(
-                            PriorityBoundViolation(
-                                priority, bound, port.advertised_bound,
-                            ))
-                # This priority's candidates interfere with everything
-                # below it on the same link.
-                for in_link, stream in candidates_here.items():
-                    base = extras_above.get(in_link)
-                    extras_above[in_link] = (stream if base is None
-                                             else base + stream)
-
-        return self._batch_result(candidates, computed, violations)
-
-    def _batch_result(self, candidates: Sequence[Leg],
-                      computed: Dict[Tuple[str, int], Number],
-                      violations: Dict[str, List[PriorityBoundViolation]],
-                      ) -> BatchCheckResult:
-        """Assemble the per-candidate views of one group check."""
-        frozen = {out_link: tuple(found)
-                  for out_link, found in violations.items()}
-        results: Dict[str, CheckResult] = {}
-        for leg in candidates:
-            results[leg.connection_id] = CheckResult(
-                switch=self.name,
-                out_link=leg.out_link,
-                computed_bounds={
-                    priority: bound
-                    for (out_link, priority), bound in computed.items()
-                    if out_link == leg.out_link
-                },
-                violations=frozen.get(leg.out_link, ()),
-            )
-        return BatchCheckResult(
-            switch=self.name,
-            computed_bounds=computed,
-            violations=frozen,
-            results=results,
-        )
-
-    def _screen_batch(self, affected_links: Sequence[str],
-                      grouped: Mapping[Tuple[str, int],
-                                       Mapping[str, BitStream]],
-                      ) -> Optional[Dict[Tuple[str, int], Number]]:
-        """Sufficient-accept screen for a whole candidate group.
-
-        Mirrors the exact group loop -- ports walked highest priority
-        first, each priority's candidate envelopes joining the
-        interference of everything below it -- but over the headroom
-        ledger's scalar sums.  Returns the conservative per-port bounds
-        when *every* affected port passes with margin, ``None`` (exact
-        fallthrough) otherwise.  There is no batch reject screen: a
-        failing group says nothing per candidate, so the exact loop is
-        the only authority on rejections.
-        """
-        computed: Dict[Tuple[str, int], Number] = {}
-        for out_link in affected_links:
-            extra_rate: Number = 0
-            extra_burst: Number = 0
-            for port in self._store.ports_for(out_link):
-                candidates_here = grouped.get((out_link, port.priority))
-                if not candidates_here:
-                    if (extra_rate == 0 and extra_burst == 0) \
-                            or port.is_idle():
-                        continue  # unaffected, or no traffic to disturb
-                cand_rate: Number = 0
-                cand_burst: Number = 0
-                if candidates_here:
-                    for stream in candidates_here.values():
-                        cand_rate += stream.long_run_rate
-                        cand_burst += stream.burst
-                bound = self._screen_port_bound(
-                    port.ledger_rate + cand_rate,
-                    port.ledger_burst + cand_burst,
-                    port.ledger_higher_rate + extra_rate,
-                    port.ledger_higher_burst + extra_burst,
-                    port.advertised_bound)
-                if bound is None:
-                    return None
-                computed[(out_link, port.priority)] = bound
-                extra_rate += cand_rate
-                extra_burst += cand_burst
-        return computed
-
     def admit(self, connection_id: str, in_link: str, out_link: str,
               priority: int, stream: BitStream) -> CheckResult:
         """Check and, if every bound holds, commit the connection.
@@ -962,11 +719,19 @@ class SwitchCAC:
         :class:`AdmissionError`.
         """
         self._ensure_up()
-        self._check_reservable(
-            connection_id, Leg(connection_id, in_link, out_link, priority,
-                               stream))
+        if self._store.get_committed(connection_id) is not None:
+            raise AdmissionError(
+                f"connection {connection_id!r} already admitted at switch "
+                f"{self.name!r}"
+            )
+        leg = Leg(connection_id, in_link, out_link, priority, stream)
         held = self._store.get_pending(connection_id)
         if held is not None:
+            if held != leg:
+                raise AdmissionError(
+                    f"connection {connection_id!r} already holds a "
+                    f"conflicting reservation at switch {self.name!r}"
+                )
             return self._store.pending_result(connection_id)
         result = self.check(in_link, out_link, priority, stream)
         if not result.admitted:
@@ -975,49 +740,11 @@ class SwitchCAC:
                 self.name, out_link, worst.priority,
                 worst.computed_bound, worst.advertised_bound,
             )
-        leg = Leg(connection_id, in_link, out_link, priority, stream)
-        self._hold(leg, result)
-        return result
-
-    def reserve_checked(self, leg: Leg, result: CheckResult) -> CheckResult:
-        """Phase 1 with the admission check already done by a group check.
-
-        The batched pipeline calls this after a passing
-        :meth:`check_batch`: the conservative group bound proved the
-        leg admissible, so the per-leg check is skipped and the
-        (conservative) group :class:`CheckResult` is stored as the
-        reservation's replayable result.  Identical journal, aggregate
-        and metric transitions to :meth:`reserve`.
-        """
-        self._ensure_up()
-        self._check_reservable(leg.connection_id, leg)
-        if self._store.get_pending(leg.connection_id) is not None:
-            return self._store.pending_result(leg.connection_id)
-        self._hold(leg, result, patch_caches=False)
-        return result
-
-    def _check_reservable(self, connection_id: str, leg: Leg) -> None:
-        """Shared reserve-precondition checks (committed/conflicting)."""
-        if self._store.get_committed(connection_id) is not None:
-            raise AdmissionError(
-                f"connection {connection_id!r} already admitted at switch "
-                f"{self.name!r}"
-            )
-        held = self._store.get_pending(connection_id)
-        if held is not None and held != leg:
-            raise AdmissionError(
-                f"connection {connection_id!r} already holds a conflicting "
-                f"reservation at switch {self.name!r}"
-            )
-
-    def _hold(self, leg: Leg, result: CheckResult,
-              patch_caches: bool = True) -> None:
-        """Record a fresh reservation: store, journal, aggregates."""
-        self._store.put_pending(leg.connection_id, leg, result)
-        self._journal.append("reserve", leg.connection_id, leg)
-        self._apply(leg.in_link, leg.out_link, leg.priority, leg.stream,
-                    add=True, patch_caches=patch_caches)
+        self._store.put_pending(connection_id, leg, result)
+        self._journal.append("reserve", connection_id, leg)
+        self._apply(in_link, out_link, priority, stream, add=True)
         self._rebind().reserves.inc()
+        return result
 
     def commit(self, connection_id: str) -> Leg:
         """Phase 2: confirm a reservation.  Idempotent on re-delivery."""
@@ -1231,7 +958,7 @@ class SwitchCAC:
         Checks the ``Sia`` ground truth *and* each populated derived
         cache (higher-priority aggregates, output sums) against values
         recomputed from the per-leg streams alone.  Every port is read
-        through the :class:`AdmissionStore`, so a backend that corrupts
+        through the :class:`AdmissionStore`, so a store that corrupts
         or loses state cannot pass.
         """
         fresh = self.recompute_aggregates()

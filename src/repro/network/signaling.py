@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field, fields as dataclass_fields
-from typing import Callable, List, Optional, Tuple, TypeVar, Union
+from typing import Callable, List, Optional, TypeVar, Union
 
 from ..core.bitstream import Number
 from ..exceptions import (
@@ -35,6 +35,7 @@ from ..exceptions import (
 )
 from ..obs import events as _oevents
 from ..obs import metrics as _om
+from ..obs.clock import ManualClock
 from ..robustness.breaker import BreakerBoard
 from ..robustness.faults import (
     CRASH,
@@ -45,7 +46,7 @@ from ..robustness.faults import (
     FaultInjector,
 )
 from ..robustness.health import HealthMonitor
-from ..robustness.retry import ManualClock, RetryPolicy
+from ..robustness.retry import RetryPolicy
 
 __all__ = [
     "SetupMessage",
@@ -54,7 +55,6 @@ __all__ = [
     "ReleaseMessage",
     "CommitMessage",
     "AbortMessage",
-    "BatchSetupMessage",
     "ProbeMessage",
     "FaultEvent",
     "RetryEvent",
@@ -129,22 +129,6 @@ class AbortMessage:
 
 
 @dataclass(frozen=True)
-class BatchSetupMessage:
-    """One group admission check of a batched setup at one node.
-
-    Recorded by :meth:`NetworkCAC.setup_many`'s fast path: the node
-    evaluated the whole candidate group in a single shared CAC check
-    (``connections`` in request order).  ``admitted`` reports the group
-    verdict; a ``False`` makes the pipeline fall back to per-request
-    SETUP walks, which appear in the trace as usual.
-    """
-
-    at_node: str
-    connections: Tuple[str, ...]
-    admitted: bool
-
-
-@dataclass(frozen=True)
 class ProbeMessage:
     """One liveness probe of a hop (health monitor / breaker half-open).
 
@@ -196,7 +180,6 @@ Message = Union[
     ReleaseMessage,
     CommitMessage,
     AbortMessage,
-    BatchSetupMessage,
     ProbeMessage,
     FaultEvent,
     RetryEvent,
@@ -211,7 +194,6 @@ _EVENT_NAMES = {
     "ReleaseMessage": "release",
     "CommitMessage": "commit",
     "AbortMessage": "abort",
-    "BatchSetupMessage": "batch_setup",
     "ProbeMessage": "probe",
     "FaultEvent": "fault",
     "RetryEvent": "retry",

@@ -19,7 +19,7 @@ Everything is off by default (the global registry/tracer are the shared
 null objects, so instrumented hot paths cost one attribute check).
 :func:`enable` switches a live registry and tracer in; timestamps come
 from the injectable observability clock, so passing a
-:class:`~repro.robustness.retry.ManualClock` makes spans and latency
+:class:`~repro.obs.clock.ManualClock` makes spans and latency
 histograms fully deterministic.
 
 Usage::

@@ -9,8 +9,7 @@ exactly three implementations:
 * :class:`SystemClock` -- the monotonic wall clock
   (:func:`time.perf_counter`), the default for observability;
 * :class:`ManualClock` -- simulated time advanced explicitly by the
-  synchronous protocol machinery (re-exported as
-  :class:`repro.robustness.retry.ManualClock` for compatibility);
+  synchronous protocol machinery;
 * :class:`EngineClock` -- an adapter reading the shared
   :class:`~repro.sim.engine.Engine` simulation clock, so the admission
   plane, retry backoff, health suspicion and breaker reset timers all

@@ -8,7 +8,7 @@ admission check nested inside it).
 The tracer keeps a plain stack -- the protocol code is synchronous and
 single-threaded -- and stamps times from the observability clock
 (:mod:`repro.obs.clock`), so injecting a
-:class:`~repro.robustness.retry.ManualClock` makes whole trees
+:class:`~repro.obs.clock.ManualClock` makes whole trees
 deterministic.  When tracing is off the global tracer is
 :data:`NULL_TRACER`, whose ``span()`` hands back one shared no-op
 context manager.

@@ -233,7 +233,6 @@ def run_schedule(seed: int,
                  retry_policy: Optional[RetryPolicy] = None,
                  hop_timeout: float = 8.0,
                  max_faults: int = 4,
-                 batched: bool = False,
                  link_failures: int = 0,
                  fast_path: Optional[bool] = None) -> ScheduleReport:
     """Run one seeded fault schedule and check the acceptance properties.
@@ -243,13 +242,6 @@ def run_schedule(seed: int,
     clean replay); ``request_factory`` maps a network to the ordered
     connection requests to attempt.
 
-    ``batched`` routes establishment through
-    :meth:`NetworkCAC.setup_many` instead of per-request
-    :meth:`NetworkCAC.setup` calls.  Under an active fault injector the
-    batched pipeline falls back to the exact sequential walk, so every
-    schedule must produce the identical report either way -- which is
-    precisely what the property suite asserts.
-
     ``link_failures`` additionally draws that many mid-workload
     :class:`LinkFailureEvent`\\ s (after the fault plan, so schedules
     with ``link_failures=0`` stay bit-identical to earlier releases):
@@ -258,8 +250,7 @@ def run_schedule(seed: int,
     link.  The clean replay then re-establishes every survivor over its
     *post-migration* route, and the report checks the
     :func:`~repro.robustness.migration.no_double_booking` invariant on
-    top of the usual two.  In batched mode the events fire after the
-    whole batch (the batch is one atomic pipeline).
+    top of the usual two.
 
     ``fast_path`` is forwarded to both the faulted and the clean-replay
     :class:`NetworkCAC` (None defers to ``CAC_FAST_PATH``); the
@@ -306,21 +297,12 @@ def run_schedule(seed: int,
             if event.restore:
                 injector.restore_link(event.link)
 
-    if batched:
-        outcome = faulted.setup_many(requests, trace=trace)
-        errors = {
-            name: f"{type(refused).__name__}: {refused}"
-            for name, refused in outcome.failures.items()
-        }
-        for after in sorted({event.after for event in events}):
-            fire_events(after)
-    else:
-        for position, request in enumerate(requests, start=1):
-            try:
-                faulted.setup(request, trace=trace)
-            except AdmissionError as refused:
-                errors[request.name] = f"{type(refused).__name__}: {refused}"
-            fire_events(position)
+    for position, request in enumerate(requests, start=1):
+        try:
+            faulted.setup(request, trace=trace)
+        except AdmissionError as refused:
+            errors[request.name] = f"{type(refused).__name__}: {refused}"
+        fire_events(position)
 
     recovered = tuple(sorted(
         name for name, cac in faulted.switches().items() if cac.crashed
@@ -380,7 +362,6 @@ def run_schedules(seeds: Iterable[int],
                   retry_policy: Optional[RetryPolicy] = None,
                   hop_timeout: float = 8.0,
                   max_faults: int = 4,
-                  batched: bool = False,
                   link_failures: int = 0,
                   fast_path: Optional[bool] = None,
                   jobs: int = 1,
@@ -408,7 +389,6 @@ def run_schedules(seeds: Iterable[int],
         retry_policy=retry_policy,
         hop_timeout=hop_timeout,
         max_faults=max_faults,
-        batched=batched,
         link_failures=link_failures,
         fast_path=fast_path,
     )

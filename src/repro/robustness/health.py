@@ -80,7 +80,7 @@ class HealthMonitor:
     clock:
         ``now() -> float`` time source; defaults to the observability
         clock, which the tests and fault harness set to a
-        :class:`~repro.robustness.retry.ManualClock`.
+        :class:`~repro.obs.clock.ManualClock`.
     suspicion_threshold:
         Consecutive delivery timeouts that turn *suspect* into *down*.
     flap_window / flap_threshold:

@@ -8,10 +8,9 @@ sleeps ``uniform(0, min(cap, base * 2**n))``.
 
 Everything here is driven by an injectable clock and RNG so the
 schedule is deterministic under test and never actually sleeps --
-simulated time only advances on a :class:`ManualClock`.  The clock
-itself lives in :mod:`repro.obs.clock` (one :class:`~repro.obs.clock.Clock`
-protocol for the whole repo); :class:`ManualClock` is re-exported here
-so existing imports keep working.
+simulated time only advances on a
+:class:`~repro.obs.clock.ManualClock` (one
+:class:`~repro.obs.clock.Clock` protocol for the whole repo).
 """
 
 from __future__ import annotations
@@ -23,7 +22,7 @@ from typing import Callable, Optional, Tuple, Type, TypeVar
 from ..exceptions import RetryExhausted
 from ..obs.clock import ManualClock
 
-__all__ = ["ManualClock", "RetryPolicy", "retry_call"]
+__all__ = ["RetryPolicy", "retry_call"]
 
 T = TypeVar("T")
 

@@ -36,7 +36,7 @@ from ..core.accumulation import CdvPolicy, make_policy
 from ..core.admission import NetworkCAC
 from ..core.bitstream import BitStream, Number, ZERO_STREAM, aggregate
 from ..core.delay_bound import delay_bound
-from ..exceptions import AdmissionError, TrafficModelError
+from ..exceptions import TrafficModelError
 from ..network.connection import ConnectionRequest, EstablishedConnection
 from .constants import (
     CYCLIC_PRIORITY,
@@ -266,7 +266,6 @@ def establish_workload(workload: TrafficAssignment,
                        terminals_per_node: int = 1,
                        node_bound: Union[Number, Mapping[int, Number]] = NODE_DELAY_BOUND,
                        cdv_policy: Union[str, CdvPolicy] = "hard",
-                       batched: bool = False,
                        ) -> Tuple[NetworkCAC, List[EstablishedConnection]]:
     """Run the full distributed setup for a ring workload.
 
@@ -274,11 +273,6 @@ def establish_workload(workload: TrafficAssignment,
     walks the SETUP procedure through :class:`NetworkCAC`.  Raises
     :class:`~repro.exceptions.AdmissionError` when any broadcast is
     refused (callers treat that as an infeasible workload).
-
-    ``batched`` routes the whole workload through one
-    :meth:`NetworkCAC.setup_many` call -- the same admitted set and
-    switch state (see ``docs/architecture.md``), with one shared group
-    check per ring node instead of one check per broadcast per hop.
     """
     priorities = sorted({p for _t, p in workload.values()}) or [CYCLIC_PRIORITY]
     if isinstance(node_bound, Mapping):
@@ -295,16 +289,6 @@ def establish_workload(workload: TrafficAssignment,
             route=broadcast_route(net, node, slot),
             priority=priority,
         ))
-    if batched:
-        outcome = cac.setup_many(requests)
-        if outcome.failures:
-            name, refused = next(iter(outcome.failures.items()))
-            for connection in reversed(outcome.established):
-                cac.teardown(connection.name)
-            raise AdmissionError(
-                f"broadcast {name!r} refused in batched setup: {refused}"
-            )
-        return cac, list(outcome.established)
     established = cac.setup_all(requests)
     return cac, established
 

@@ -6,29 +6,18 @@ order (a monotonically increasing sequence number breaks ties), which
 keeps runs bit-for-bit reproducible -- important because the validation
 benches compare simulated worst cases against analytic bounds.
 
-Three hot-path refinements keep long simulations fast without touching
-the ordering contract:
+The queue is one binary heap of ``(time, sequence, handle)`` entries.
+Two refinements keep long simulations fast without touching that
+ordering contract:
 
-* **Hierarchical timer wheel** -- near-future events land in a wheel of
-  fixed-width slots (one small ``(time, sequence)`` mini-heap per slot)
-  while far-future events wait in a single overflow heap.  Slot index
-  is a monotone function of time, so every entry in slot ``i`` fires
-  strictly before every entry in slot ``j > i`` and strictly before
-  everything in the overflow tier; the global pop order is therefore
-  exactly the ``(time, sequence)`` order of a single heap, but pushes
-  and pops touch only a handful of entries.  When the wheel drains, it
-  rotates: the epoch jumps to the earliest overflow time and the next
-  window of entries migrates into the slots.  ``timer_wheel=False``
-  (or ``REPRO_TIMER_WHEEL=off``) keeps everything in the single heap,
-  which the equivalence tests use as the reference.
 * **Lazy-cancel compaction** -- ``cancel()`` marks an event and leaves
   it in place (classic lazy removal), but once cancelled entries
-  outnumber live ones both tiers are rebuilt without them, so churny
+  outnumber live ones the heap is rebuilt without them, so churny
   schedule/cancel workloads (timers re-armed per cell) stay bounded
   instead of growing without limit.
 * **Batch scheduling** -- :meth:`Engine.schedule_many` inserts a whole
   schedule (e.g. a source's precomputed emission times) in one pass,
-  restoring the overflow tier with a single O(n) ``heapify``.
+  restoring the heap with a single O(n) ``heapify``.
 """
 
 from __future__ import annotations
@@ -36,7 +25,6 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-import os
 from typing import Callable, Iterable, List, Optional, Tuple
 
 from ..exceptions import SimulationError
@@ -47,12 +35,6 @@ __all__ = ["Engine", "EventHandle", "ProcessHandle"]
 #: Compaction never triggers below this pending-entry count: tiny heaps
 #: are cheap to carry and rebuilding them would cost more than it saves.
 _COMPACT_MIN_HEAP = 64
-
-
-def _wheel_default() -> bool:
-    """Timer wheel on unless ``REPRO_TIMER_WHEEL`` disables it."""
-    value = os.environ.get("REPRO_TIMER_WHEEL", "on").strip().lower()
-    return value not in ("0", "off", "false", "no")
 
 
 class EventHandle:
@@ -85,23 +67,23 @@ class EventHandle:
 _Entry = Tuple[float, int, EventHandle]
 
 
-class Engine:
-    """Timer wheel plus overflow heap with a simulation clock.
+def _check_time(time: float, now: float) -> None:
+    """Reject a non-finite timestamp or one in the past.
 
-    Parameters
-    ----------
-    timer_wheel:
-        ``True`` routes near-future events through the slot wheel,
-        ``False`` keeps the single-heap implementation.  ``None`` (the
-        default) consults ``REPRO_TIMER_WHEEL`` (on unless set to
-        ``0``/``off``/``false``/``no``).  Both modes pop events in the
-        exact same ``(time, sequence)`` order.
-    wheel_slots:
-        Number of slots in the wheel; with ``wheel_width`` this sets
-        the near-future horizon ``wheel_slots * wheel_width`` beyond
-        the current epoch.
-    wheel_width:
-        Time span of one slot, in cell times.
+    A NaN timestamp would slip past the into-the-past guard (every
+    comparison with NaN is False) and silently corrupt the heap
+    ordering, and an infinite one could never fire.
+    """
+    if not math.isfinite(time):
+        raise SimulationError(f"cannot schedule at non-finite time {time}")
+    if time < now:
+        raise SimulationError(
+            f"cannot schedule into the past: {time} < now {now}"
+        )
+
+
+class Engine:
+    """Binary-heap event queue with a simulation clock.
 
     Examples
     --------
@@ -114,27 +96,9 @@ class Engine:
     [1.0, 2.0]
     """
 
-    def __init__(self, *, timer_wheel: Optional[bool] = None,
-                 wheel_slots: int = 1024, wheel_width: float = 1.0) -> None:
-        if timer_wheel is None:
-            timer_wheel = _wheel_default()
-        if wheel_slots < 1:
-            raise SimulationError(f"wheel_slots must be >= 1, got {wheel_slots}")
-        if not (math.isfinite(wheel_width) and wheel_width > 0):
-            raise SimulationError(
-                f"wheel_width must be positive and finite, got {wheel_width}")
+    def __init__(self) -> None:
         self._now = 0.0
-        self._wheel_enabled = bool(timer_wheel)
-        self._num_slots = wheel_slots
-        self._width = wheel_width
-        self._slots: List[List[_Entry]] = (
-            [[] for _ in range(wheel_slots)] if self._wheel_enabled else [])
-        self._epoch = 0.0
-        #: First slot that may be non-empty; lazily advanced by scans.
-        self._hint = wheel_slots
-        self._wheel_count = 0
-        #: Far-future tier (and the *only* tier in pure-heap mode).
-        self._overflow: List[_Entry] = []
+        self._heap: List[_Entry] = []
         self._sequence = itertools.count()
         self._processed = 0
         self._cancelled = 0
@@ -152,32 +116,22 @@ class Engine:
     @property
     def heap_size(self) -> int:
         """Entries currently queued, including lazily cancelled ones."""
-        return self._wheel_count + len(self._overflow)
+        return len(self._heap)
 
     @property
     def pending_events(self) -> int:
         """Live (non-cancelled) events still waiting to fire."""
-        return self.heap_size - self._cancelled
+        return len(self._heap) - self._cancelled
 
     def schedule(self, time: float, callback: Callable[[], None]) -> EventHandle:
         """Schedule ``callback`` to run at absolute time ``time``.
 
-        ``time`` must be finite: a NaN timestamp would slip past the
-        into-the-past guard (every comparison with NaN is False) and
-        silently corrupt the queue ordering, and an infinite one could
-        never fire.
+        ``time`` must be finite and not in the past.
         """
-        if not math.isfinite(time):
-            raise SimulationError(
-                f"cannot schedule at non-finite time {time}"
-            )
-        if time < self._now:
-            raise SimulationError(
-                f"cannot schedule into the past: {time} < now {self._now}"
-            )
+        _check_time(time, self._now)
         handle = EventHandle(time, callback)
         handle._engine = self
-        self._push_entry((time, next(self._sequence), handle))
+        heapq.heappush(self._heap, (time, next(self._sequence), handle))
         return handle
 
     def schedule_in(self, delay: float,
@@ -192,47 +146,22 @@ class Engine:
         """Bulk-schedule ``(time, callback)`` pairs; returns their handles.
 
         Equivalent to calling :meth:`schedule` once per pair (same
-        sequence numbers, hence the exact same firing order).  Entries
-        bound for the overflow tier are restored with a single O(n)
-        ``heapify`` instead of one O(log n) sift per event -- the win
-        for sources that precompute their whole emission schedule.
+        sequence numbers, hence the exact same firing order), but the
+        heap is restored with a single O(n) ``heapify`` instead of one
+        O(log n) sift per event -- the win for sources that precompute
+        their whole emission schedule.
         """
         entries: List[_Entry] = []
         handles: List[EventHandle] = []
         for time, callback in events:
-            if not math.isfinite(time):
-                raise SimulationError(
-                    f"cannot schedule at non-finite time {time}"
-                )
-            if time < self._now:
-                raise SimulationError(
-                    f"cannot schedule into the past: {time} < now {self._now}"
-                )
+            _check_time(time, self._now)
             handle = EventHandle(time, callback)
             handle._engine = self
             entries.append((time, next(self._sequence), handle))
             handles.append(handle)
-        if not entries:
-            return handles
-        if not self._wheel_enabled:
-            self._overflow.extend(entries)
-            heapq.heapify(self._overflow)
-            return handles
-        far: List[_Entry] = []
-        for entry in entries:
-            index = int((entry[0] - self._epoch) / self._width)
-            if index < self._num_slots:
-                if index < 0:
-                    index = 0
-                heapq.heappush(self._slots[index], entry)
-                self._wheel_count += 1
-                if index < self._hint:
-                    self._hint = index
-            else:
-                far.append(entry)
-        if far:
-            self._overflow.extend(far)
-            heapq.heapify(self._overflow)
+        if entries:
+            self._heap.extend(entries)
+            heapq.heapify(self._heap)
         return handles
 
     def run(self, until: float = math.inf, max_events: int = 50_000_000) -> None:
@@ -242,12 +171,10 @@ class Engine:
         stays queued (so a subsequent ``run`` can continue).
         ``max_events`` guards against accidental infinite loops.
         """
+        heap = self._heap
         remaining = max_events
-        while True:
-            entry = self._pop_due(until)
-            if entry is None:
-                break
-            time, _seq, handle = entry
+        while heap and heap[0][0] <= until:
+            time, _seq, handle = heapq.heappop(heap)
             if handle.cancelled:
                 self._cancelled -= 1
                 continue
@@ -269,129 +196,33 @@ class Engine:
     def peek_next_time(self) -> Optional[float]:
         """Time of the next pending event, or None when drained.
 
-        Cancelled entries at the front are discarded on the way; the
-        wheel never rotates here -- with the wheel empty the overflow
-        top *is* the global minimum (every wheel entry fires strictly
-        before every overflow entry).
+        Cancelled entries at the front are discarded on the way.
         """
-        while self._wheel_count:
-            bucket = self._slots[self._first_slot()]
-            if bucket[0][2].cancelled:
-                heapq.heappop(bucket)
-                self._wheel_count -= 1
-                self._cancelled -= 1
-                continue
-            return bucket[0][0]
-        while self._overflow and self._overflow[0][2].cancelled:
-            heapq.heappop(self._overflow)
+        heap = self._heap
+        while heap and heap[0][2].cancelled:
+            heapq.heappop(heap)
             self._cancelled -= 1
-        return self._overflow[0][0] if self._overflow else None
-
-    # -- two-tier queue internals --------------------------------------
-
-    def _push_entry(self, entry: _Entry) -> None:
-        """File one entry into its tier.
-
-        The slot index ``int((time - epoch) / width)`` is monotone in
-        time (IEEE subtraction, division and truncation all preserve
-        order), so equal times always share a slot and lower slots hold
-        strictly earlier times than higher slots or the overflow tier
-        -- the invariant the pop order rests on.  A time below the
-        current epoch (possible right after a rotation jumped the epoch
-        forward past ``now``) clamps into slot 0, which keeps it ahead
-        of every later slot.
-        """
-        if self._wheel_enabled:
-            index = int((entry[0] - self._epoch) / self._width)
-            if index < self._num_slots:
-                if index < 0:
-                    index = 0
-                heapq.heappush(self._slots[index], entry)
-                self._wheel_count += 1
-                if index < self._hint:
-                    self._hint = index
-                return
-        heapq.heappush(self._overflow, entry)
-
-    def _first_slot(self) -> int:
-        """Index of the first non-empty slot; caller ensures one exists."""
-        hint = self._hint
-        slots = self._slots
-        while not slots[hint]:
-            hint += 1
-        self._hint = hint
-        return hint
-
-    def _pop_due(self, until: float) -> Optional[_Entry]:
-        """Pop the globally earliest entry if its time is <= ``until``.
-
-        Cancelled entries are returned too (the caller keeps the
-        lazy-cancel accounting).  Rotates the wheel when it has drained
-        and the overflow tier holds due work.
-        """
-        while True:
-            if self._wheel_count:
-                index = self._first_slot()
-                bucket = self._slots[index]
-                if bucket[0][0] > until:
-                    return None
-                self._wheel_count -= 1
-                return heapq.heappop(bucket)
-            if not self._overflow or self._overflow[0][0] > until:
-                return None
-            if not self._wheel_enabled:
-                return heapq.heappop(self._overflow)
-            self._rotate()
-
-    def _rotate(self) -> None:
-        """Advance the (drained) wheel to the next overflow window.
-
-        The epoch jumps to the earliest overflow time, then every
-        overflow entry inside the new horizon migrates into its slot.
-        Migration pops in heap order and pushes into per-slot heaps, so
-        each bucket keeps exact ``(time, sequence)`` order.
-        """
-        overflow = self._overflow
-        self._epoch = overflow[0][0]
-        self._hint = 0
-        while overflow:
-            index = int((overflow[0][0] - self._epoch) / self._width)
-            if index >= self._num_slots:
-                break
-            heapq.heappush(self._slots[index], heapq.heappop(overflow))
-            self._wheel_count += 1
+        return heap[0][0] if heap else None
 
     # -- lazy-cancel bookkeeping ---------------------------------------
 
     def _note_cancelled(self) -> None:
         """One queued event was cancelled; compact when they dominate."""
         self._cancelled += 1
-        if (self.heap_size >= _COMPACT_MIN_HEAP
-                and self._cancelled * 2 > self.heap_size):
+        if (len(self._heap) >= _COMPACT_MIN_HEAP
+                and self._cancelled * 2 > len(self._heap)):
             self._compact()
 
     def _compact(self) -> None:
-        """Drop cancelled entries and re-heapify both tiers.
+        """Drop cancelled entries and re-heapify.
 
         The surviving ``(time, sequence, handle)`` tuples keep their
         original sequence numbers, so the pop order -- and therefore the
-        simulation -- is bit-identical to the uncompacted run.  The scan
-        hint stays valid because compaction only empties slots (it never
-        moves an entry to an earlier one).
+        simulation -- is bit-identical to the uncompacted run.
         """
-        if self._wheel_enabled and self._wheel_count:
-            count = 0
-            for bucket in self._slots:
-                if not bucket:
-                    continue
-                bucket[:] = [entry for entry in bucket
-                             if not entry[2].cancelled]
-                heapq.heapify(bucket)
-                count += len(bucket)
-            self._wheel_count = count
-        self._overflow = [entry for entry in self._overflow
-                          if not entry[2].cancelled]
-        heapq.heapify(self._overflow)
+        heap = self._heap
+        heap[:] = [entry for entry in heap if not entry[2].cancelled]
+        heapq.heapify(heap)
         self._cancelled = 0
 
     # -- resumable processes -------------------------------------------

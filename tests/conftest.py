@@ -15,7 +15,7 @@ import os
 import pytest
 
 from repro import obs
-from repro.robustness.retry import ManualClock
+from repro.obs.clock import ManualClock
 
 
 @pytest.fixture

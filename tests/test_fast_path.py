@@ -183,13 +183,11 @@ _FAST_PATH_SEEDS = int(os.environ.get("FAST_PATH_SEEDS", "6"))
 
 
 @pytest.mark.parametrize("seed", range(_FAST_PATH_SEEDS))
-@pytest.mark.parametrize("batched", [False, True])
-def test_fault_schedules_are_report_identical(seed, batched):
+def test_fault_schedules_are_report_identical(seed):
     """Crashes, retries and link failures hit both paths identically."""
     reports = {
         fast: run_schedule(seed, _line_factory, _line_requests,
-                           batched=batched, link_failures=1,
-                           fast_path=fast)
+                           link_failures=1, fast_path=fast)
         for fast in (True, False)
     }
     screened, exact = reports[True], reports[False]

@@ -19,12 +19,6 @@ class TestProtocol:
         for clock in (SystemClock(), ManualClock(), EngineClock(Engine())):
             assert isinstance(clock, Clock)
 
-    def test_retry_reexport_is_the_same_class(self):
-        # The historical import path must keep resolving to one type:
-        # isinstance checks across modules depend on it.
-        from repro.robustness.retry import ManualClock as RetryManualClock
-        assert RetryManualClock is ManualClock
-
 
 class TestManualClock:
     def test_advances_monotonically(self):

@@ -6,6 +6,7 @@ import re
 
 import pytest
 
+from repro.obs.clock import ManualClock
 from repro.obs.events import EventBus
 from repro.obs.export import (
     JsonlEventSink,
@@ -17,7 +18,6 @@ from repro.obs.export import (
 )
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.spans import Tracer
-from repro.robustness.retry import ManualClock
 
 
 def loaded_registry():

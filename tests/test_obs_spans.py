@@ -7,8 +7,8 @@ from repro.core.traffic import cbr
 from repro.network.connection import ConnectionRequest
 from repro.network.routing import shortest_path
 from repro.network.topology import line_network
+from repro.obs.clock import ManualClock
 from repro.obs.spans import NULL_TRACER, Tracer
-from repro.robustness.retry import ManualClock
 
 
 class TestSpanMechanics:

@@ -1,30 +1,20 @@
-"""The layered state backends: PortState and the AdmissionStore family.
+"""The layered switch state: PortState and the AdmissionStore.
 
 The layering contract (``docs/architecture.md``): a pure
 :class:`PortState` per (out_link, priority) owns the aggregates and
-incremental caches; every backend of the pluggable
-:class:`AdmissionStore` interface must be observably identical to the
-in-memory reference -- same admission decisions, same iteration order,
-same snapshots -- because ``SwitchCAC`` routes *all* state through it.
+incremental caches; the :class:`AdmissionStore` holds every port and
+leg of one switch, iterates deterministically, and snapshots/restores
+the legs -- ``SwitchCAC`` routes *all* state through it.
 """
 
 from fractions import Fraction as F
 
 import pytest
 
-from repro.core import (
-    InMemoryAdmissionStore,
-    NetworkCAC,
-    ShardedAdmissionStore,
-    SwitchCAC,
-)
-from repro.core.bitstream import aggregate
+from repro.core import AdmissionStore, SwitchCAC
 from repro.core.port_state import PortState
 from repro.core.traffic import cbr
 from repro.exceptions import AdmissionError
-from repro.network.connection import ConnectionRequest
-from repro.network.routing import shortest_path
-from repro.network.topology import line_network
 
 
 def stream(rate):
@@ -67,44 +57,22 @@ class TestPortState:
         rebuilt.apply_same("in-b", stream(F(1, 9)), add=True)
         assert patched.approx_equal(rebuilt.soa(), 0)
 
-    def test_soa_with_generalises_replace(self):
-        port = self.make_port()
-        port.apply_same("in-a", stream(F(1, 5)), add=True)
-        port.apply_same("in-b", stream(F(1, 9)), add=True)
-        candidate = port._filter(port.sia("in-a") + stream(F(1, 11)))
-        single = port.soa(replace=("in-a", candidate))
-        multi = port.soa_with({"in-a": candidate})
-        assert single.approx_equal(multi, 0)
-        # two substitutions at once == rebuilding from scratch
-        cand_b = port._filter(port.sia("in-b") + stream(F(1, 13)))
-        both = port.soa_with({"in-a": candidate, "in-b": cand_b})
-        assert both.approx_equal(aggregate([candidate, cand_b]), 0)
+    def test_sof_higher_extra_equals_admitting_at_higher_priority(self):
+        def pair():
+            high = PortState("out", 0, 32)
+            high.apply_same("in-a", stream(F(1, 6)), add=True)
+            low = self.make_port(priority=1, higher=[high])
+            low.apply_same("in-a", stream(F(1, 8)), add=True)
+            low.apply_same("in-b", stream(F(1, 9)), add=True)
+            return high, low
 
-    def test_sof_higher_with_generalises_extra(self):
-        high = PortState("out", 0, 32)
-        high.apply_same("in-a", stream(F(1, 6)), add=True)
-        low = self.make_port(priority=1, higher=[high])
-        low.apply_same("in-a", stream(F(1, 8)), add=True)
         extra = stream(F(1, 10))
-        assert low.sof_higher(extra=("in-a", extra)).approx_equal(
-            low.sof_higher_with({"in-a": extra}), 0)
-
-    def test_bulk_apply_invalidates_and_lazy_rebuild_agrees(self):
-        high = PortState("out", 0, 32)
-        low = self.make_port(priority=1, higher=[high])
-        low.apply_same("in-a", stream(F(1, 8)), add=True)
-        _ = low.soa(), low.sof_higher(), low.service()  # warm every cache
-        # a bulk delta at the higher priority drops, not patches
-        high.apply_same("in-a", stream(F(1, 6)), add=True,
-                        patch_caches=False)
-        low.apply_higher("in-a", stream(F(1, 6)), add=True,
-                         patch_caches=False)
-        assert streams_equal(high.sia("in-a"), stream(F(1, 6)))
-        # lazy rebuilds now see the post-delta truth
-        reference = PortState("out", 1, 64, higher_ports=lambda: [high])
-        reference.apply_same("in-a", stream(F(1, 8)), add=True)
-        assert low.sof_higher().approx_equal(reference.sof_higher(), 0)
-        assert low.soa().approx_equal(reference.soa(), 0)
+        _high, low = pair()
+        candidate = low.sof_higher(extra=("in-a", extra))
+        high, admitted = pair()
+        admitted.apply_higher("in-a", extra, add=True)
+        high.apply_same("in-a", extra, add=True)
+        assert streams_equal(candidate, admitted.sof_higher())
 
     def test_verify_against_accepts_truth_and_rejects_drift(self):
         port = self.make_port()
@@ -120,16 +88,8 @@ class TestPortState:
 
 
 # ----------------------------------------------------------------------
-# AdmissionStore backends: parity with the in-memory reference
+# AdmissionStore: the switch's state, driven through SwitchCAC
 # ----------------------------------------------------------------------
-
-
-STORE_FACTORIES = [
-    ("in-memory", InMemoryAdmissionStore),
-    ("sharded-1", lambda: ShardedAdmissionStore(1)),
-    ("sharded-3", lambda: ShardedAdmissionStore(3)),
-    ("sharded-8", lambda: ShardedAdmissionStore(8)),
-]
 
 
 def drive(switch):
@@ -147,43 +107,41 @@ def drive(switch):
     return switch
 
 
-@pytest.mark.parametrize("label,factory", STORE_FACTORIES,
-                         ids=[label for label, _ in STORE_FACTORIES])
-def test_backends_are_observably_identical(label, factory):
-    reference = drive(SwitchCAC("sw"))
-    candidate = drive(SwitchCAC("sw", store=factory()))
-    # same committed set, same insertion order
-    assert list(candidate.legs) == list(reference.legs)
-    assert candidate.out_links() == reference.out_links()
-    for link in reference.out_links():
-        assert candidate.priorities(link) == reference.priorities(link)
-        for priority in reference.priorities(link):
-            assert streams_equal(
-                candidate.soa(link, priority), reference.soa(link, priority))
-    assert candidate.verify_consistency()
-    # identical journals drive identical recoveries
-    assert ([(e.op, e.connection_id) for e in candidate.journal]
-            == [(e.op, e.connection_id) for e in reference.journal])
-    candidate.crash()
+def test_drive_crash_and_recover_restore_the_committed_state():
+    switch = drive(SwitchCAC("sw"))
+    assert list(switch.legs) == ["vc0", "vc2", "vc4"]
+    assert switch.verify_consistency()
+    assert [(e.op, e.connection_id) for e in switch.journal] == [
+        ("admit", "vc0"), ("admit", "vc1"), ("reserve", "vc2"),
+        ("commit", "vc2"), ("reserve", "vc3"), ("abort", "vc3"),
+        ("release", "vc1"), ("admit", "vc4"),
+    ]
+    before = switch.recompute_aggregates()
+    soas = {(link, priority): switch.soa(link, priority)
+            for link in switch.out_links()
+            for priority in switch.priorities(link)}
+    switch.crash()
     with pytest.raises(AdmissionError):
-        candidate.admit("vc9", "in-a", "out-a", 0, stream(F(1, 20)))
-    candidate.recover()
-    assert list(candidate.legs) == list(reference.legs)
-    for key, value in reference.recompute_aggregates().items():
-        assert streams_equal(candidate.recompute_aggregates()[key], value)
+        switch.admit("vc9", "in-a", "out-a", 0, stream(F(1, 20)))
+    switch.recover()
+    assert list(switch.legs) == ["vc0", "vc2", "vc4"]
+    after = switch.recompute_aggregates()
+    assert before.keys() == after.keys()
+    for key, value in before.items():
+        assert streams_equal(after[key], value)
+    for (link, priority), soa in soas.items():
+        assert streams_equal(switch.soa(link, priority), soa)
 
 
-@pytest.mark.parametrize("label,factory", STORE_FACTORIES,
-                         ids=[label for label, _ in STORE_FACTORIES])
-def test_snapshot_restore_round_trip(label, factory):
-    source = drive(SwitchCAC("sw", store=factory()))
+def test_snapshot_restore_round_trip():
+    source = drive(SwitchCAC("sw"))
     source.reserve("vc5", "in-a", "out-b", 2, stream(F(1, 20)))
     snapshot = source.snapshot_state()
     assert [leg.connection_id for leg in snapshot["committed"]] == \
         list(source.legs)
     assert [leg.connection_id for leg in snapshot["pending"]] == ["vc5"]
 
-    target = SwitchCAC("sw2", store=factory())
+    target = SwitchCAC("sw2")
     for link in source.out_links():
         target.configure_link(link, {0: 32, 2: 96})
     target.restore_state(snapshot)
@@ -217,49 +175,17 @@ def test_out_links_and_priorities_are_sorted():
     ]
 
 
-def test_sharding_is_deterministic_and_by_out_link():
-    store = ShardedAdmissionStore(4)
-    again = ShardedAdmissionStore(4)
-    for link in ["out-a", "out-b", "out-c", "out-d", "out-e"]:
-        assert store.shard_of_link(link) == again.shard_of_link(link)
-        store.configure_link(link, {0: 32})
-    assert store.out_links() == ["out-a", "out-b", "out-c", "out-d",
-                                 "out-e"]
-    # every port of one link lives in exactly one shard
-    populated = [shard for shard in store.shards() if shard.out_links()]
-    assert sum(len(s.out_links()) for s in populated) == 5
-
-
-def test_sharded_store_rejects_bad_shard_count():
-    with pytest.raises(ValueError):
-        ShardedAdmissionStore(0)
-
-
-def test_store_factory_plugs_into_network_cac():
-    network = line_network(3, bounds={0: 32}, terminals_per_switch=1)
-    cac = NetworkCAC(network,
-                     store_factory=lambda name: ShardedAdmissionStore(2))
-    request = ConnectionRequest(
-        "vc0", cbr(F(1, 8)), shortest_path(network, "t0.0", "t2.0"))
-    established = cac.setup(request)
-    assert established.e2e_bound == 3 * 32
-    for switch in cac.switches().values():
-        assert isinstance(switch.store, ShardedAdmissionStore)
-        assert switch.verify_consistency()
-
-
 def test_clear_volatile_keeps_configuration():
-    for _, factory in STORE_FACTORIES:
-        store = factory()
-        store.configure_link("out", {0: 32})
-        store.clear_volatile()
-        assert store.out_links() == ["out"]
-        assert store.priorities("out") == [0]
-        assert not store.committed() and not store.pending()
+    store = AdmissionStore()
+    store.configure_link("out", {0: 32})
+    store.clear_volatile()
+    assert store.out_links() == ["out"]
+    assert store.priorities("out") == [0]
+    assert not store.committed() and not store.pending()
 
 
 def test_unknown_port_raises_admission_error():
-    store = InMemoryAdmissionStore()
+    store = AdmissionStore()
     store.configure_link("out", {0: 32})
     with pytest.raises(AdmissionError):
         store.port("out", 7)

@@ -16,6 +16,7 @@ from repro.exceptions import LinkDown, SignalingTimeout
 from repro.network.connection import ConnectionRequest
 from repro.network.routing import shortest_path
 from repro.network.topology import line_network
+from repro.obs.clock import ManualClock
 from repro.robustness.breaker import (
     CLOSED,
     HALF_OPEN,
@@ -25,7 +26,7 @@ from repro.robustness.breaker import (
     CircuitBreaker,
 )
 from repro.robustness.faults import FaultInjector, FaultPlan
-from repro.robustness.retry import ManualClock, RetryPolicy
+from repro.robustness.retry import RetryPolicy
 
 
 def breaker(clock=None, threshold=3, reset=64.0, on_close=None):

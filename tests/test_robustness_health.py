@@ -2,8 +2,8 @@
 
 import pytest
 
+from repro.obs.clock import ManualClock
 from repro.robustness.health import DOWN, SUSPECT, UP, HealthMonitor
-from repro.robustness.retry import ManualClock
 
 
 def monitor(**kwargs):

@@ -5,7 +5,8 @@ import random
 import pytest
 
 from repro.exceptions import RetryExhausted
-from repro.robustness.retry import ManualClock, RetryPolicy, retry_call
+from repro.obs.clock import ManualClock
+from repro.robustness.retry import RetryPolicy, retry_call
 
 
 class Flaky:
