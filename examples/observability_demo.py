@@ -30,10 +30,8 @@ def main() -> None:
         for switch in sorted(network.switches()):
             checks = registry.value("cac_checks_total", switch=switch)
             commits = registry.value("cac_commits_total", switch=switch)
-            hits = sum(
-                registry.value("cac_cache_hits_total",
-                               switch=switch, cache=cache)
-                for cache in ("sif", "soa", "service"))
+            hits = registry.value("cac_cache_hits_total",
+                                  switch=switch, cache="service")
             print(f"  {switch}: checks={checks} commits={commits} "
                   f"cache_hits={hits}")
 

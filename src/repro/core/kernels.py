@@ -283,8 +283,9 @@ def aggregate_fast(kernels: List[StreamKernel]):
 def patch_fast(base: StreamKernel, old: StreamKernel, new: StreamKernel):
     """``base - old + new`` over one breakpoint union.
 
-    The cache-patch operation behind every incremental ``Soa`` /
-    ``higher_sum`` update and every ``soa(replace=...)`` substitution.
+    The patch operation behind every incremental update of a port's
+    two aggregate sums and every ``soa(replace=...)`` /
+    ``sof_higher(extra=...)`` substitution.
     Point-wise it evaluates the same left-to-right ``(a - b) + c`` the
     two pairwise merges would, but the union is built once and no
     intermediate stream is canonicalized or allocated -- one pass

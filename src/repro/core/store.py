@@ -5,8 +5,7 @@
 where its *state* lives.  An :class:`AdmissionStore` owns
 
 * one :class:`~repro.core.port_state.PortState` per configured
-  ``(out_link, priority)`` port, wired with the higher-priority sibling
-  provider its interference caches need;
+  ``(out_link, priority)`` port;
 * the committed and pending (reserved-but-uncommitted) leg maps of the
   two-phase walk, plus the replayable per-reservation check results;
 * the *in-link rate ledger*: a running sum of the admitted long-run
@@ -54,7 +53,22 @@ class AdmissionStore:
 
     def configure_link(self, out_link: str,
                        bounds: Mapping[int, Number]) -> None:
-        """Create (or reconfigure) the ports of one output link."""
+        """Create (or reconfigure) the ports of one output link.
+
+        A link that carries committed or pending legs may change its
+        bounds but not its set of priorities: a port added next to live
+        traffic would start without the interference already admitted
+        above it, and a dropped one would strand its legs.
+        """
+        current = self._bounds.get(out_link)
+        if current is not None and set(current) != set(bounds) and any(
+                leg.out_link == out_link
+                for legs in (self._committed, self._pending)
+                for leg in legs.values()):
+            raise AdmissionError(
+                f"link {out_link!r} carries connections; its priorities "
+                f"{sorted(current)} cannot change to {sorted(bounds)}"
+            )
         self._bounds[out_link] = dict(bounds)
         for priority, bound in bounds.items():
             key = (out_link, priority)
@@ -65,19 +79,12 @@ class AdmissionStore:
             self._ports[key] = PortState(
                 out_link, priority, bound,
                 filter_per_input=self._filter_per_input,
-                higher_ports=self._higher_provider(out_link, priority),
                 on_cache=self._on_cache,
             )
         # A reconfiguration may drop priorities; their ports go too.
         for key in [k for k in self._ports
                     if k[0] == out_link and k[1] not in bounds]:
             del self._ports[key]
-
-    def _higher_provider(self, out_link: str, priority: int):
-        def provider() -> List[PortState]:
-            return [port for (j, p), port in sorted(self._ports.items())
-                    if j == out_link and p < priority]
-        return provider
 
     def has_link(self, out_link: str) -> bool:
         """Is this output link configured?"""
@@ -176,9 +183,11 @@ class AdmissionStore:
                     stream: Any, add: bool) -> None:
         """Patch every affected port for one admit/release delta.
 
-        Lower-priority interference caches are patched first (their
-        forced lazy rebuilds must read pre-change aggregates), then the
-        port's own same-priority state -- the incremental arithmetic
+        The stream is added to (or removed from) the in-link ledger, the
+        ``higher`` aggregate of every lower-priority port on the link,
+        and the port's own ``own`` aggregate -- one ``+``/``-`` each.
+        No port reads another, so each port's floats depend only on the
+        sequence of deltas it sees: the incremental arithmetic
         :meth:`~repro.core.switch_cac.SwitchCAC.recover` relies on for
         bit-identical replay.
         """
@@ -196,7 +205,7 @@ class AdmissionStore:
     # -- lifecycle ------------------------------------------------------
 
     def clear_volatile(self) -> None:
-        """Drop legs, reservations and every aggregate cache.
+        """Drop legs, reservations and every port aggregate.
 
         Port *configuration* (advertised bounds) survives -- it is boot
         configuration, not run-time state.  Models a node crash.

@@ -3,15 +3,16 @@
 A switch keeps, for every pair of incoming link ``i`` and outgoing link
 ``j`` and every priority level ``p``, the aggregated worst-case arrival
 stream of the connections routed ``i -> j`` at priority ``p``
-(``Sia(i,j,p)`` in the paper).  From those it derives, on demand:
+(``Sia(i,j,p)`` in the paper).  From those it keeps, patched by one
+delta per admit/release:
 
 * ``Sif(i,j,p)   = filter(Sia(i,j,p))`` -- the aggregate as smoothed by
   the incoming link (a link of capacity 1 cannot deliver faster than 1);
-* ``Sia(i,j)(p)`` -- the aggregate over all priorities *higher* than
-  ``p`` for the pair, and its filtered form ``Sif(i,j)(p)``;
 * ``Soa(j,p)     = sum_i Sif(i,j,p)`` -- the output-port arrival stream;
-* ``Soa(j)(p)    = sum_i Sif(i,j)(p)`` and its filtered form
-  ``Sof(j)(p)`` -- the higher-priority interference at the output port.
+* the same chain over all priorities *higher* than ``p``:
+  ``Sia(i,j)(p)``, ``Sif(i,j)(p)`` and ``Soa(j)(p) = sum_i Sif(i,j)(p)``,
+  whose filtered form ``Sof(j)(p)`` is the higher-priority interference
+  at the output port.
 
 Admitting a connection with arrival stream ``S`` on ``(i, j, p)``
 follows Steps 1-6 of the paper: rebuild the affected aggregates with
@@ -33,8 +34,8 @@ Layering (see ``docs/architecture.md``): this class is the admission
 *protocol* -- Steps 1-6, the two-phase transitions, journaling,
 recovery, metrics.  The *state* lives one layer down: every
 ``(out_link, priority)`` port is a pure
-:class:`~repro.core.port_state.PortState` holding its aggregates,
-incremental-delta caches and memoized
+:class:`~repro.core.port_state.PortState` holding its own-priority
+and higher-priority aggregates and a memoized
 :class:`~repro.core.delay_bound.ServiceCurve`, and all ports plus the
 committed/pending leg maps live in one
 :class:`~repro.core.store.AdmissionStore`.  Checks, journal replay and
@@ -73,9 +74,8 @@ from .store import AdmissionStore
 
 __all__ = ["SwitchCAC", "Leg", "CheckResult", "PriorityBoundViolation"]
 
-#: Derived-aggregate caches whose hit/miss behaviour is observable.
-_CACHES = ("sif", "higher", "sif_higher", "higher_sum", "soa", "sof",
-           "service")
+#: Memos whose hit/miss behaviour is observable.
+_CACHES = ("service",)
 
 #: Screen outcomes counted under ``cac_screen_total``.
 _SCREEN_OUTCOMES = ("accept", "reject", "exact")
@@ -283,7 +283,7 @@ class SwitchCAC:
         return obs
 
     def _count_cache(self, hit: bool, cache: str) -> None:
-        """Record one derived-aggregate cache hit or rebuild."""
+        """Record one ServiceCurve memo hit or rebuild."""
         obs = self._rebind()
         if obs.enabled:
             (obs.cache_hits if hit else obs.cache_misses)[cache].inc()
@@ -303,7 +303,9 @@ class SwitchCAC:
 
         ``bounds`` maps each real-time priority level served on the link
         to the fixed queueing delay bound (in cell times) the switch
-        guarantees -- in RTnet, the FIFO queue size in cells.
+        guarantees -- in RTnet, the FIFO queue size in cells.  Once the
+        link carries connections its bounds may change but its set of
+        priorities may not (:class:`AdmissionError`).
         """
         if not bounds:
             raise ValueError("an output link needs at least one priority")
@@ -405,8 +407,8 @@ class SwitchCAC:
 
         ``replace`` optionally substitutes the (already filtered)
         per-input aggregate of one incoming link -- how the admission
-        check builds ``S'oa`` without mutating state.  With the cached
-        aggregate this is one subtract-and-add delta, O(m), instead of
+        check builds ``S'oa`` without mutating state.  Against the patched
+        sum this is one subtract-and-add delta, O(m), instead of
         a re-aggregation over every incoming link.
         """
         return self._store.port(out_link, priority).soa(replace=replace)
@@ -419,7 +421,7 @@ class SwitchCAC:
         higher-priority aggregate of one incoming link (used when
         checking the impact of a new higher-priority connection on an
         existing lower priority); like ``replace`` above, the candidate
-        variant is an O(m) delta against the cached interference sum.
+        variant is an O(m) delta against the patched interference sum.
         """
         return self._store.port(out_link, priority).sof_higher(extra=extra)
 
@@ -429,17 +431,14 @@ class SwitchCAC:
 
     def _apply(self, in_link: str, out_link: str, priority: int,
                stream: BitStream, add: bool) -> None:
-        """Patch every cached aggregate for one admit/release delta.
+        """Patch every aggregate for one admit/release delta.
 
-        Same-priority state -- ``Sia``, ``Sif`` and the ``Soa`` sum --
-        and the higher-priority interference of every lower priority
-        are updated by a single ``+``/``-`` of the connection's stream
-        (Algorithms 3.2/3.3); only the final output filter and the
-        ServiceCurve of affected lower priorities are recomputed, and
-        those lazily, on the next check that needs them.  The actual
-        patching lives in :meth:`PortState.apply_same` /
-        :meth:`PortState.apply_higher`, orchestrated by
-        :meth:`AdmissionStore.apply_delta`.
+        The port's own ``Sia``/``Sif``/``Soa`` and the higher-priority
+        interference of every lower priority are updated by a single
+        ``+``/``-`` of the connection's stream (Algorithms 3.2/3.3);
+        only the final output filter and the ServiceCurve of affected
+        lower priorities are recomputed, on the next check that needs
+        them.  :meth:`AdmissionStore.apply_delta` does the patching.
         """
         obs = self._rebind()
         if obs.enabled:
@@ -518,7 +517,7 @@ class SwitchCAC:
 
         # Step 2-4: the new connection's own priority.
         new_sia = port.sia(in_link) + stream
-        new_sif = port._filter(new_sia)
+        new_sif = port.own.filter(new_sia)
         new_soa = port.soa(replace=(in_link, new_sif))
         bound = delay_bound(new_soa, service=port.service())
         computed[priority] = bound
@@ -579,8 +578,9 @@ class SwitchCAC:
         """
         rho = stream.long_run_rate
         sigma = stream.burst
-        rate_same = port.ledger_rate + rho
-        rate_higher = port.ledger_higher_rate
+        own, higher = port.own, port.higher
+        rate_same = own.rate + rho
+        rate_higher = higher.rate
 
         # Necessary reject: the candidate's priority is unstable.  The
         # interference long-run rate is min(1, sum of higher rates)
@@ -599,8 +599,7 @@ class SwitchCAC:
         # Sufficient accept, candidate port first.
         computed: Dict[int, Number] = {}
         bound = self._screen_port_bound(
-            rate_same, port.ledger_burst + sigma,
-            rate_higher, port.ledger_higher_burst,
+            rate_same, own.burst + sigma, rate_higher, higher.burst,
             port.advertised_bound)
         if bound is None:
             return None
@@ -611,10 +610,8 @@ class SwitchCAC:
             if lower.is_idle():
                 continue  # exact path skips it too (Soa is zero)
             bound = self._screen_port_bound(
-                lower.ledger_rate, lower.ledger_burst,
-                lower.ledger_higher_rate + rho,
-                lower.ledger_higher_burst + sigma,
-                lower.advertised_bound)
+                lower.own.rate, lower.own.burst, lower.higher.rate + rho,
+                lower.higher.burst + sigma, lower.advertised_bound)
             if bound is None:
                 return None
             computed[lower.priority] = bound
@@ -953,11 +950,12 @@ class SwitchCAC:
         return fresh
 
     def verify_consistency(self, tolerance: float = 1e-9) -> bool:
-        """True when every incremental cache matches a from-scratch rebuild.
+        """True when every incremental aggregate matches a fresh rebuild.
 
-        Checks the ``Sia`` ground truth *and* each populated derived
-        cache (higher-priority aggregates, output sums) against values
-        recomputed from the per-leg streams alone.  Every port is read
+        Checks both aggregates of every port -- ``Sia`` ground truth,
+        patched output sum and ``(sigma, rho)`` ledger, own priority and
+        higher priorities -- against values recomputed from the per-leg
+        streams alone.  Every port is read
         through the :class:`AdmissionStore`, so a store that corrupts
         or loses state cannot pass.
         """

@@ -76,9 +76,9 @@ METRIC_HELP: Dict[str, str] = {
     "cac_reservation_expiries_total":
         "Pending reservations discarded by the TTL hold timer.",
     "cac_cache_hits_total":
-        "Derived-aggregate cache lookups served from cache.",
+        "ServiceCurve memo lookups served from the memo.",
     "cac_cache_misses_total":
-        "Derived-aggregate cache lookups that rebuilt from scratch.",
+        "ServiceCurve memo lookups that rebuilt the curve.",
     "cac_incremental_updates_total":
         "Cached aggregates patched by one +/- delta in _apply().",
     "cac_recoveries_total":

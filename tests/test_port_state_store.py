@@ -31,9 +31,8 @@ def streams_equal(left, right):
 
 
 class TestPortState:
-    def make_port(self, priority=1, higher=()):
-        return PortState("out", priority, 64,
-                         higher_ports=lambda: list(higher))
+    def make_port(self, priority=1):
+        return PortState("out", priority, 64)
 
     def test_apply_same_maintains_sia_ground_truth(self):
         port = self.make_port()
@@ -49,41 +48,42 @@ class TestPortState:
     def test_soa_patched_matches_rebuild(self):
         port = self.make_port()
         port.apply_same("in-a", stream(F(1, 5)), add=True)
-        _ = port.soa()  # populate the cache, then patch it
         port.apply_same("in-b", stream(F(1, 9)), add=True)
-        patched = port.soa()
-        rebuilt = PortState("out", 1, 64)
-        rebuilt.apply_same("in-a", stream(F(1, 5)), add=True)
+        port.apply_same("in-a", stream(F(1, 5)), add=False)
+        rebuilt = self.make_port()
         rebuilt.apply_same("in-b", stream(F(1, 9)), add=True)
-        assert patched.approx_equal(rebuilt.soa(), 0)
+        assert port.in_links() == ["in-b"]
+        assert streams_equal(port.soa(), rebuilt.soa())
 
     def test_sof_higher_extra_equals_admitting_at_higher_priority(self):
-        def pair():
-            high = PortState("out", 0, 32)
-            high.apply_same("in-a", stream(F(1, 6)), add=True)
-            low = self.make_port(priority=1, higher=[high])
+        def low_port():
+            low = self.make_port()
+            low.apply_higher("in-a", stream(F(1, 6)), add=True)
             low.apply_same("in-a", stream(F(1, 8)), add=True)
             low.apply_same("in-b", stream(F(1, 9)), add=True)
-            return high, low
+            return low
 
         extra = stream(F(1, 10))
-        _high, low = pair()
-        candidate = low.sof_higher(extra=("in-a", extra))
-        high, admitted = pair()
+        candidate = low_port().sof_higher(extra=("in-a", extra))
+        admitted = low_port()
         admitted.apply_higher("in-a", extra, add=True)
-        high.apply_same("in-a", extra, add=True)
         assert streams_equal(candidate, admitted.sof_higher())
 
     def test_verify_against_accepts_truth_and_rejects_drift(self):
         port = self.make_port()
         port.apply_same("in-a", stream(F(1, 5)), add=True)
-        truth = {("in-a", "out", 1): stream(F(1, 5))}
+        port.apply_higher("in-b", stream(F(1, 6)), add=True)
+        truth = {("in-a", "out", 1): stream(F(1, 5)),
+                 ("in-b", "out", 0): stream(F(1, 6))}
         assert port.verify_against(truth)
         assert not port.verify_against(
-            {("in-a", "out", 1): stream(F(1, 4))})
+            {**truth, ("in-a", "out", 1): stream(F(1, 4))})
+        # the higher-priority aggregate is checked the same way
+        assert not port.verify_against(
+            {**truth, ("in-b", "out", 0): stream(F(1, 7))})
         assert not port.verify_against({})  # port holds a stream truth lacks
         # an extra ground-truth key the port does not hold also fails
-        truth[("in-b", "out", 1)] = stream(F(1, 9))
+        truth[("in-c", "out", 1)] = stream(F(1, 9))
         assert not port.verify_against(truth)
 
 
@@ -182,6 +182,26 @@ def test_clear_volatile_keeps_configuration():
     assert store.out_links() == ["out"]
     assert store.priorities("out") == [0]
     assert not store.committed() and not store.pending()
+
+
+def test_configure_link_refuses_priority_changes_on_a_live_link():
+    switch = SwitchCAC("sw")
+    switch.configure_link("out", {0: 32})
+    switch.admit("vc0", "in-a", "out", 0, stream(F(1, 2)))
+    # a port added next to live traffic would miss the interference
+    # already admitted above it
+    with pytest.raises(AdmissionError, match="carries connections"):
+        switch.configure_link("out", {0: 32, 1: 1})
+    with pytest.raises(AdmissionError, match="carries connections"):
+        switch.configure_link("out", {1: 32})
+    assert switch.priorities("out") == [0]
+    switch.configure_link("out", {0: 16})  # new bounds alone are fine
+    assert switch.advertised_bound("out", 0) == 16
+    switch.configure_link("other", {0: 32, 1: 64})  # other links too
+    switch.release("vc0")
+    switch.configure_link("out", {0: 32, 1: 1})  # an idle link may change
+    assert switch.priorities("out") == [0, 1]
+    assert switch.verify_consistency()
 
 
 def test_unknown_port_raises_admission_error():
