@@ -32,7 +32,6 @@ from .delay_bound import (
     departure_time,
     is_stable,
 )
-from .kernels import kernels_enabled
 from .plane import AdmissionPlane, SetupOutcome
 from .port_state import PortState
 from .server import AdmissionDecision, AuditEntry, CacServer, PlanReport
@@ -56,7 +55,6 @@ __all__ = [
     "Number",
     "ZERO_STREAM",
     "aggregate",
-    "kernels_enabled",
     "VBRParameters",
     "cbr",
     "worst_case_cell_times",

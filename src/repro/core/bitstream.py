@@ -39,7 +39,9 @@ an undefined ``queue`` variable).
 All arithmetic is generic over the number type: :class:`float` for
 production use and :class:`fractions.Fraction` for exact property tests.
 Only integer literals (``0``, ``1``) are mixed in, which both types
-absorb without precision loss.
+absorb without precision loss.  Float streams run the multiplexing
+algorithms and the point lookups on the list kernels of
+:mod:`repro.core.kernels`; exact streams keep the generic code below.
 """
 
 from __future__ import annotations
@@ -50,13 +52,16 @@ from fractions import Fraction
 from typing import Iterable, Iterator, Sequence, Tuple, Union
 
 from ..exceptions import BitStreamError
+from .kernels import (
+    _RATE_TOLERANCE,
+    StreamKernel,
+    aggregate_fast,
+    build_kernel,
+    merge_fast,
+    patch_fast,
+)
 
 Number = Union[int, float, Fraction]
-
-#: Tolerance used to forgive floating-point noise when validating the
-#: non-increasing invariant and when clamping tiny negative rates produced
-#: by demultiplexing.
-_RATE_TOLERANCE = 1e-9
 
 __all__ = ["BitStream", "Number", "aggregate", "ZERO_STREAM"]
 
@@ -139,7 +144,7 @@ class BitStream:
 
         self._rates: Tuple[Number, ...] = tuple(canon_rates)
         self._times: Tuple[Number, ...] = tuple(canon_times)
-        self._kernel = None  # lazily built NumPy fast path (see `kernel`)
+        self._kernel = None  # lazily built float kernel (see `kernel`)
 
     # ------------------------------------------------------------------
     # Constructors
@@ -161,9 +166,9 @@ class BitStream:
                         kernel=None) -> "BitStream":
         """Trusted constructor for already-canonical segment lists.
 
-        Used by the NumPy kernels, which canonicalize on arrays with the
-        exact semantics of ``__init__`` and can hand over a pre-built
-        :class:`~repro.core.kernels.StreamKernel` for free.
+        Used for the kernels' results, which are canonicalized with the
+        exact semantics of ``__init__`` and come with their
+        :class:`~repro.core.kernels.StreamKernel` already built.
         """
         stream = cls.__new__(cls)
         stream._rates = tuple(rates)
@@ -172,21 +177,19 @@ class BitStream:
         return stream
 
     # ------------------------------------------------------------------
-    # NumPy fast path
+    # Float kernel
     # ------------------------------------------------------------------
 
     @property
     def kernel(self):
-        """The NumPy fast-path kernel, or ``None`` on the exact path.
+        """The float kernel, or ``None`` on the exact path.
 
         Built once per stream, on first use: float streams (no Fraction
         anywhere, at least one float) get a
         :class:`repro.core.kernels.StreamKernel`; exact int/Fraction
-        streams -- and every stream when NumPy is unavailable -- return
-        ``None`` and keep the generic scalar algorithms.
+        streams return ``None`` and keep the generic scalar algorithms.
         """
         if self._kernel is None:
-            from .kernels import build_kernel
             self._kernel = build_kernel(self._rates, self._times) or False
         return self._kernel or None
 
@@ -240,9 +243,9 @@ class BitStream:
             raise ValueError(f"time must be non-negative, got {t}")
         kernel = None if isinstance(t, Fraction) else self.kernel
         if kernel is not None:
-            # searchsorted for the index only; the returned rate is the
+            # bisect for the index only; the returned rate is the
             # original Python object, so types are preserved exactly.
-            return self._rates[int(kernel.segment_index(t))]
+            return self._rates[kernel.segment_index(t)]
         index = self._segment_index(t)
         return self._rates[index]
 
@@ -325,8 +328,7 @@ class BitStream:
             return NotImplemented
         mine, theirs = self.kernel, other.kernel
         if mine is not None and theirs is not None:
-            from .kernels import merge_fast
-            return merge_fast(mine, theirs, subtract=False)
+            return _from_kernel(merge_fast(mine, theirs, subtract=False))
         return _merge(self, other, lambda a, b: a + b)
 
     def __sub__(self, other: "BitStream") -> "BitStream":
@@ -340,8 +342,7 @@ class BitStream:
             return NotImplemented
         mine, theirs = self.kernel, other.kernel
         if mine is not None and theirs is not None:
-            from .kernels import merge_fast
-            return merge_fast(mine, theirs, subtract=True)
+            return _from_kernel(merge_fast(mine, theirs, subtract=True))
         return _merge(self, other, lambda a, b: a - b)
 
     def patched(self, old: "BitStream", new: "BitStream") -> "BitStream":
@@ -356,8 +357,7 @@ class BitStream:
         """
         kernels = (self.kernel, old.kernel, new.kernel)
         if all(kernel is not None for kernel in kernels):
-            from .kernels import patch_fast
-            return patch_fast(*kernels)
+            return _from_kernel(patch_fast(*kernels))
         return _merge(_merge(self, old, lambda a, b: a - b), new,
                       lambda a, b: a + b)
 
@@ -599,6 +599,11 @@ ZERO_STREAM = BitStream.zero()
 # ----------------------------------------------------------------------
 
 
+def _from_kernel(kernel: StreamKernel) -> BitStream:
+    """The stream a kernel computed, sharing the kernel's tuples."""
+    return BitStream._from_canonical(kernel.rates, kernel.times, kernel)
+
+
 def _merge(first: BitStream, second: BitStream, combine) -> BitStream:
     """Point-wise combination of two step functions (Algorithms 3.2/3.3)."""
     rates: list[Number] = []
@@ -640,7 +645,7 @@ def aggregate(streams: Iterable[BitStream]) -> BitStream:
     connections.
     Returns the zero stream for an empty iterable.
 
-    Float streams take the NumPy concatenate-sort-prefix-sum kernel;
+    Float streams take the sort-and-running-sum list kernel;
     exact (int/Fraction) inputs keep exact arithmetic via a heap merge
     of per-stream rate deltas -- O(B log k) in the total breakpoint
     count B, replacing the old O(B * k) cursor walk.
@@ -663,8 +668,7 @@ def aggregate(streams: Iterable[BitStream]) -> BitStream:
         return stream_list[0]
 
     if kernels is not None:
-        from .kernels import aggregate_fast
-        return aggregate_fast(kernels)
+        return _from_kernel(aggregate_fast(kernels))
 
     # Exact path: each stream contributes rate *deltas* at its own
     # breakpoints; a heap merge visits them in global time order and a

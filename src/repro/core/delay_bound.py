@@ -179,7 +179,10 @@ _path_counters = (-1, {})
 
 
 def _note_path(op: str, fast: bool) -> None:
-    """Count one bound evaluation on the numpy or scalar path."""
+    """Count one bound evaluation on the float-kernel or scalar path.
+
+    The float-kernel path keeps its original label, ``path="numpy"``.
+    """
     global _path_counters
     generation, counters = _path_counters
     if generation != _om._generation:
@@ -197,7 +200,7 @@ def _note_path(op: str, fast: bool) -> None:
 def _fast_kernels(stream: BitStream, higher: Optional[BitStream]):
     """``(stream_kernel, higher_kernel)`` when the float path applies.
 
-    The fast path engages when the arrival stream has a NumPy kernel
+    The fast path engages when the arrival stream has a float kernel
     and the interference either is absent/zero or has one too; exact
     (Fraction) inputs on either side keep the scalar algorithms.
     Returns ``None`` when the exact path must run.

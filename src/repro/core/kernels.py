@@ -1,6 +1,6 @@
-"""NumPy fast-path kernels for the bit-stream algebra.
+"""Float kernels for the bit-stream algebra, on plain Python lists.
 
-The pure-Python implementations in :mod:`repro.core.bitstream` and
+The generic implementations in :mod:`repro.core.bitstream` and
 :mod:`repro.core.delay_bound` are linear (or worse) scans over segment
 lists, generic over :class:`float` and :class:`fractions.Fraction`.
 That generality is what the exact property tests rely on, but it makes
@@ -9,155 +9,140 @@ breakpoints -- and the paper itself flags admission-check latency as
 the limit on how fast switched real-time VCs can be established
 (Section 4.3, discussion 2).
 
-This module provides the float fast path:
+This module provides the float path:
 
-* :class:`StreamKernel` -- a stream as ``(rates, times, cumbits)``
-  float64 arrays with the cumulative-arrival prefix sums computed once,
-  so ``A(t)``, ``A^{-1}(b)`` and ``r(t)`` become
-  :func:`numpy.searchsorted` lookups (scalar *and* vectorized);
-* :func:`aggregate_fast` -- k-way multiplexing as
-  concatenate-sort-prefix-sum over per-stream rate deltas;
-* :func:`merge_fast` -- pairwise multiplex/demultiplex as a vectorized
-  point-wise combination on the breakpoint union (bit-for-bit the same
-  arithmetic as the scalar ``_merge``);
+* :class:`StreamKernel` -- a stream's own float tuples plus its
+  cumulative-arrival prefix sums, computed once, so ``A(t)``,
+  ``A^{-1}(b)`` and ``r(t)`` become :mod:`bisect` lookups;
+* :func:`aggregate_fast` -- k-way multiplexing as one stable sort of
+  every input's rate deltas and one running sum;
+* :func:`merge_fast` / :func:`patch_fast` -- pairwise
+  multiplex/demultiplex and the fused ``base - old + new`` as a
+  point-wise combination on the breakpoint union;
 * :func:`delay_bound_fast` / :func:`backlog_bound_fast` -- Algorithm
-  4.1 evaluated on *all* candidate instants at once instead of one
-  O(m) inverse scan per candidate.
+  4.1 evaluated on the candidate instants with prefix-sum lookups
+  instead of one O(m) inverse scan per candidate.
+
+The streams the admission path handles are small (tens of
+breakpoints), so the kernels work on each stream's tuples directly:
+at that size a ``bisect`` per point beats building arrays.  Every sum
+is accumulated left to right and every point-wise value is computed
+with the same operations in the same order as the NumPy kernels these
+replaced, so results are bit-identical to them (pinned by a golden
+digest in ``tests/test_properties_kernels.py``).
 
 Selection policy (see ``docs/performance.md``): a kernel is built for a
-stream exactly when NumPy is importable, no rate or time is a
-:class:`~fractions.Fraction`, and at least one value is a float.
-Exact (int/Fraction) streams never get a kernel, so the existing exact
-code paths are untouched and the Fraction-based property tests keep
-their bit-exact guarantees.
+stream exactly when no rate or time is a :class:`~fractions.Fraction`
+and at least one value is a float.  Exact (int/Fraction) streams never
+get a kernel, so the exact code paths are untouched and the
+Fraction-based property tests keep their bit-exact guarantees.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
+from itertools import accumulate, chain, compress
+from operator import mul, ne, sub
 from typing import List, Optional, Sequence, Tuple
 
 from ..exceptions import BitStreamError
 
-try:  # NumPy is an optional (dev/perf) dependency; degrade gracefully.
-    import numpy as np
-except ImportError:  # pragma: no cover - exercised only without numpy
-    np = None  # type: ignore[assignment]
-
 __all__ = [
     "StreamKernel",
-    "kernels_enabled",
     "build_kernel",
     "aggregate_fast",
+    "patch_fast",
     "merge_fast",
     "delay_bound_fast",
     "backlog_bound_fast",
 ]
 
-#: Mirror of :data:`repro.core.bitstream._RATE_TOLERANCE`; duplicated to
-#: avoid an import cycle (bitstream imports this module lazily).
+#: Tolerance used to forgive floating-point noise when validating the
+#: non-increasing invariant and when clamping tiny negative rates produced
+#: by demultiplexing.  Shared by ``BitStream.__init__`` and the kernels'
+#: canonicalization, which must agree on which streams are valid.
 _RATE_TOLERANCE = 1e-9
 
+_INF = math.inf
 
-def kernels_enabled() -> bool:
-    """True when the NumPy fast path is available in this environment."""
-    return np is not None
+
+def _prefix_sums(slopes: Sequence[float],
+                 times: Sequence[float]) -> List[float]:
+    """``[0.0, s0*(t1-t0), s0*(t1-t0) + s1*(t2-t1), ...]``, summed in order."""
+    sums = [0.0]
+    sums += accumulate(map(mul, slopes, map(sub, times[1:], times)))
+    return sums
 
 
 class StreamKernel:
-    """Array representation of one canonical bit stream.
+    """The float view of one canonical bit stream.
 
     Attributes
     ----------
     rates / times:
-        The canonical segments as float64 arrays.
+        The canonical segments as tuples of Python floats -- the
+        stream's own tuples when they already hold only floats.
     cumbits:
-        ``A(t(k))`` -- cumulative bits at each breakpoint, prefix-summed
-        once at construction so every later lookup is O(log m).
+        ``A(t(k))`` -- cumulative bits at each breakpoint, summed once
+        on first use so every later lookup is O(log m).
     """
 
-    __slots__ = ("rates", "times", "cumbits", "_service", "_deltas")
+    __slots__ = ("rates", "times", "_cumbits", "_service")
 
-    def __init__(self, rates, times, cumbits=None):
-        self.rates = np.asarray(rates, dtype=np.float64)
-        self.times = np.asarray(times, dtype=np.float64)
-        if cumbits is None:
-            cumbits = np.empty_like(self.times)
-            cumbits[0] = 0.0
-            if len(self.times) > 1:
-                np.cumsum(self.rates[:-1] * np.diff(self.times),
-                          out=cumbits[1:])
-        self.cumbits = cumbits
+    def __init__(self, rates: Tuple[float, ...], times: Tuple[float, ...]):
+        self.rates = rates
+        self.times = times
+        self._cumbits: Optional[List[float]] = None
         #: lazily-built ``(values, slopes)`` of the leftover-service curve
         #: ``C(t) = integral of (1 - r)`` when this stream acts as the
         #: higher-priority interference of Algorithm 4.1.
-        self._service = None
-        #: lazily-built rate deltas for :func:`aggregate_fast`.
-        self._deltas = None
+        self._service: Optional[Tuple[List[float], List[float]]] = None
 
     @property
-    def deltas(self):
-        """Rate steps at each breakpoint (``rates[k] - rates[k-1]``).
-
-        Cached because :func:`aggregate_fast` re-reads the deltas of the
-        same component streams on every re-aggregation; per-call
-        ``np.diff`` on dozens of tiny arrays would dominate its cost.
-        """
-        if self._deltas is None:
-            self._deltas = np.diff(self.rates, prepend=0.0)
-        return self._deltas
+    def cumbits(self) -> List[float]:
+        """Cumulative arrivals ``A(t(k))`` at every breakpoint."""
+        if self._cumbits is None:
+            self._cumbits = _prefix_sums(self.rates, self.times)
+        return self._cumbits
 
     # ------------------------------------------------------------------
-    # Point lookups (scalar or vectorized -- searchsorted handles both)
+    # Point lookups
     # ------------------------------------------------------------------
 
-    def segment_index(self, t):
-        """Index of the segment containing ``t`` (scalar or array)."""
-        return self.times.searchsorted(t, side="right") - 1
+    def segment_index(self, t) -> int:
+        """Index of the segment containing ``t``."""
+        return bisect_right(self.times, t) - 1
 
-    def bits(self, t):
-        """Cumulative arrivals ``A(t)``; accepts a scalar or an array."""
-        index = self.times.searchsorted(t, side="right") - 1
+    def bits(self, t) -> float:
+        """Cumulative arrivals ``A(t)``."""
+        index = bisect_right(self.times, t) - 1
         return (self.cumbits[index]
                 + self.rates[index] * (t - self.times[index]))
 
-    def time_of_bits(self, amount: float) -> float:
-        """Scalar earliest ``t`` with ``A(t) >= amount`` (inf if never)."""
+    def time_of_bits(self, amount) -> float:
+        """Earliest ``t`` with ``A(t) >= amount`` (inf if never)."""
         if amount <= 0:
             return 0.0
-        position = int(np.searchsorted(self.cumbits, amount, side="left"))
-        if position >= len(self.cumbits):
-            rate = float(self.rates[-1])
+        cumbits = self.cumbits
+        position = bisect_left(cumbits, amount)
+        if position >= len(cumbits):
+            rate = self.rates[-1]
             if rate == 0.0:
-                return math.inf
-            return float(self.times[-1]
-                         + (amount - self.cumbits[-1]) / rate)
+                return _INF
+            return self.times[-1] + (amount - cumbits[-1]) / rate
         segment = position - 1
         # rates[segment] > 0 because cumbits strictly increased across it.
-        return float(self.times[segment]
-                     + (amount - self.cumbits[segment]) / self.rates[segment])
-
-    def time_of_bits_array(self, amounts):
-        """Vectorized :meth:`time_of_bits` over an array of amounts."""
-        amounts = np.asarray(amounts, dtype=np.float64)
-        position = self.cumbits.searchsorted(amounts, side="left")
-        segment = np.maximum(position - 1, 0)
-        rates = self.rates[segment]
-        unreachable = rates <= 0.0
-        out = (self.times[segment]
-               + (amounts - self.cumbits[segment])
-               / np.where(unreachable, 1.0, rates))
-        out[unreachable] = math.inf
-        out[amounts <= 0.0] = 0.0
-        return out
+        return (self.times[segment]
+                + (amount - cumbits[segment]) / self.rates[segment])
 
     # ------------------------------------------------------------------
     # The leftover-service view (Algorithm 4.1 interference)
     # ------------------------------------------------------------------
 
     @property
-    def service(self):
+    def service(self) -> Tuple[List[float], List[float]]:
         """``(values, slopes)`` of ``C(t) = integral of (1 - r)``.
 
         ``values[j] = C(t(j))`` at this stream's breakpoints and
@@ -165,91 +150,65 @@ class StreamKernel:
         aggregate serves many delay-bound evaluations.
         """
         if self._service is None:
-            slopes = 1.0 - self.rates
-            values = np.empty_like(self.times)
-            values[0] = 0.0
-            if len(self.times) > 1:
-                np.cumsum(slopes[:-1] * np.diff(self.times), out=values[1:])
-            self._service = (values, slopes)
+            slopes = [1.0 - rate for rate in self.rates]
+            self._service = (_prefix_sums(slopes, self.times), slopes)
         return self._service
-
-    def service_values(self, t):
-        """Vectorized ``C(t)`` over an array of instants."""
-        values, slopes = self.service
-        index = self.times.searchsorted(t, side="right") - 1
-        return values[index] + slopes[index] * (t - self.times[index])
 
 
 def build_kernel(rates: Sequence, times: Sequence) -> Optional[StreamKernel]:
     """A kernel for the stream, or ``None`` when exactness must rule.
 
-    The float fast path engages only for streams that actually carry
-    floats: any :class:`~fractions.Fraction` disables it (exact
-    arithmetic requested), and all-int streams (e.g. the zero stream or
-    a saturated ``constant(1)``) stay on the exact path so integer
-    results keep their types.
+    The float path engages only for streams that actually carry floats:
+    any :class:`~fractions.Fraction` disables it (exact arithmetic
+    requested), and all-int streams (e.g. the zero stream or a
+    saturated ``constant(1)``) stay on the exact path so integer results
+    keep their types.  Ints mixed into a float stream are converted, so
+    the kernels compute in floats throughout.
     """
-    if np is None:
+    kinds = set(map(type, chain(rates, times)))
+    if kinds == {float}:
+        return StreamKernel(tuple(rates), tuple(times))
+    if (any(issubclass(kind, Fraction) for kind in kinds)
+            or not any(issubclass(kind, float) for kind in kinds)):
         return None
-    has_float = False
-    for value in rates:
-        if isinstance(value, Fraction):
-            return None
-        if isinstance(value, float):
-            has_float = True
-    for value in times:
-        if isinstance(value, Fraction):
-            return None
-        if isinstance(value, float):
-            has_float = True
-    if not has_float:
-        return None
-    return StreamKernel(rates, times)
+    return StreamKernel(tuple(map(float, rates)), tuple(map(float, times)))
 
 
 # ----------------------------------------------------------------------
-# Canonicalization on arrays (mirrors BitStream.__init__ semantics)
+# Canonicalization (mirrors BitStream.__init__ semantics)
 # ----------------------------------------------------------------------
 
 
-def _canonical_arrays(rates, times):
+def _canonical(rates: List[float], times: List[float]) -> StreamKernel:
     """Clamp/validate/merge exactly like ``BitStream.__init__`` does.
 
     Expects strictly increasing ``times``; enforces the non-negative and
     non-increasing rate invariants with the shared tolerance and merges
-    equal-rate neighbours.
+    equal-rate neighbours.  Negative noise is clamped to ``0.0`` before
+    the step check, so a clamped residue never counts as a rise.
     """
-    low = rates.min(initial=0.0)
-    if low < -_RATE_TOLERANCE:
-        index = int(np.argmin(rates))
-        raise BitStreamError(
-            f"negative rate {rates[index]} at t={times[index]}"
-        )
+    low = min(rates)
     if low < 0.0:
-        rates = np.clip(rates, 0.0, None)
+        if low < -_RATE_TOLERANCE:
+            index = rates.index(low)
+            raise BitStreamError(
+                f"negative rate {rates[index]} at t={times[index]}"
+            )
+        rates = [rate if rate > 0.0 else 0.0 for rate in rates]
     if len(rates) > 1:
-        steps = np.diff(rates)
-        if np.any(steps > _RATE_TOLERANCE):
-            index = int(np.argmax(steps))
+        later = rates[1:]
+        if max(map(sub, later, rates)) > _RATE_TOLERANCE:
+            steps = list(map(sub, later, rates))
+            index = steps.index(max(steps))
             raise BitStreamError(
                 f"rate function must be non-increasing, got step "
                 f"{rates[index]} -> {rates[index + 1]}"
             )
-        keep = np.empty(len(rates), dtype=bool)
-        keep[0] = True
-        np.not_equal(rates[1:], rates[:-1], out=keep[1:])
-        if not keep.all():
-            rates = rates[keep]
-            times = times[keep]
-    return rates, times
-
-
-def _finish_stream(rates, times):
-    """Build a canonical ``BitStream`` (kernel attached) from arrays."""
-    from .bitstream import BitStream
-    rates, times = _canonical_arrays(rates, times)
-    kernel = StreamKernel(rates, times)
-    return BitStream._from_canonical(rates.tolist(), times.tolist(), kernel)
+        keep = [True, *map(ne, later, rates)]
+        if not all(keep):
+            rates = list(compress(rates, keep))
+            times = list(compress(times, keep))
+    return StreamKernel(tuple(rates), tuple(times))
 
 
 # ----------------------------------------------------------------------
@@ -257,30 +216,34 @@ def _finish_stream(rates, times):
 # ----------------------------------------------------------------------
 
 
-def aggregate_fast(kernels: List[StreamKernel]):
-    """K-way Algorithm 3.2 as concatenate-sort-prefix-sum.
+def aggregate_fast(kernels: List[StreamKernel]) -> StreamKernel:
+    """K-way Algorithm 3.2 as one sort and one running sum.
 
-    Each stream contributes its rate *deltas* at its breakpoints; after
-    a single stable sort of the union, the aggregate's step function is
-    one cumulative sum.  O(B log B) in the total breakpoint count,
-    against the O(B * k) cursor walk of the scalar path.
+    Each stream contributes its rate *deltas* at its breakpoints
+    (``r(0) - 0.0``, then ``r(k) - r(k-1)``); after a single stable sort
+    of the union by time, the aggregate's step function is one
+    left-to-right running sum, and equal breakpoints collapse to their
+    last (fully-summed) value.  O(B log B) in the total breakpoint
+    count B.
     """
-    times = np.concatenate([kernel.times for kernel in kernels])
-    deltas = np.concatenate([kernel.deltas for kernel in kernels])
-    order = np.argsort(times, kind="stable")
-    times = times[order]
-    rates = np.cumsum(deltas[order])
-    if len(times) > 1:
-        # Equal breakpoints collapse to the last (fully-summed) value.
-        keep = np.empty(len(times), dtype=bool)
-        np.not_equal(times[1:], times[:-1], out=keep[:-1])
-        keep[-1] = True
-        times = times[keep]
-        rates = rates[keep]
-    return _finish_stream(rates, times)
+    times: List[float] = []
+    deltas: List[float] = []
+    for kernel in kernels:
+        times += kernel.times
+        deltas.append(kernel.rates[0] - 0.0)
+        deltas += map(sub, kernel.rates[1:], kernel.rates)
+    order = sorted(range(len(times)), key=times.__getitem__)
+    times = list(map(times.__getitem__, order))
+    rates = list(accumulate(map(deltas.__getitem__, order)))
+    keep = [*map(ne, times[1:], times), True]
+    if not all(keep):
+        times = list(compress(times, keep))
+        rates = list(compress(rates, keep))
+    return _canonical(rates, times)
 
 
-def patch_fast(base: StreamKernel, old: StreamKernel, new: StreamKernel):
+def patch_fast(base: StreamKernel, old: StreamKernel,
+               new: StreamKernel) -> StreamKernel:
     """``base - old + new`` over one breakpoint union.
 
     The patch operation behind every incremental update of a port's
@@ -291,31 +254,35 @@ def patch_fast(base: StreamKernel, old: StreamKernel, new: StreamKernel):
     intermediate stream is canonicalized or allocated -- one pass
     instead of two on the hottest admission path.
     """
-    times = np.union1d(np.union1d(base.times, old.times), new.times)
-    rates = (base.rates[np.searchsorted(base.times, times,
-                                        side="right") - 1]
-             - old.rates[np.searchsorted(old.times, times,
-                                         side="right") - 1]
-             + new.rates[np.searchsorted(new.times, times,
-                                         side="right") - 1])
-    return _finish_stream(rates, times)
+    times = sorted({*base.times, *old.times, *new.times})
+    base_rates, base_times = base.rates, base.times
+    old_rates, old_times = old.rates, old.times
+    new_rates, new_times = new.rates, new.times
+    rates = [base_rates[bisect_right(base_times, t) - 1]
+             - old_rates[bisect_right(old_times, t) - 1]
+             + new_rates[bisect_right(new_times, t) - 1]
+             for t in times]
+    return _canonical(rates, times)
 
 
-def merge_fast(first: StreamKernel, second: StreamKernel, subtract: bool):
+def merge_fast(first: StreamKernel, second: StreamKernel,
+               subtract: bool) -> StreamKernel:
     """Pairwise Algorithms 3.2/3.3 on the breakpoint union.
 
-    Evaluates both step functions at every union breakpoint and
-    combines point-wise -- the same floating-point additions in the
-    same order as the scalar ``_merge``, so results are bit-identical
-    while the scan itself is vectorized.
+    Samples both step functions at every union breakpoint and combines
+    point-wise -- the same floating-point additions in the same order as
+    the generic ``_merge``.
     """
-    times = np.union1d(first.times, second.times)
-    rates_a = first.rates[np.searchsorted(first.times, times,
-                                          side="right") - 1]
-    rates_b = second.rates[np.searchsorted(second.times, times,
-                                           side="right") - 1]
-    rates = rates_a - rates_b if subtract else rates_a + rates_b
-    return _finish_stream(rates, times)
+    times = sorted({*first.times, *second.times})
+    rates_a, times_a = first.rates, first.times
+    rates_b, times_b = second.rates, second.times
+    if subtract:
+        rates = [rates_a[bisect_right(times_a, t) - 1]
+                 - rates_b[bisect_right(times_b, t) - 1] for t in times]
+    else:
+        rates = [rates_a[bisect_right(times_a, t) - 1]
+                 + rates_b[bisect_right(times_b, t) - 1] for t in times]
+    return _canonical(rates, times)
 
 
 # ----------------------------------------------------------------------
@@ -323,49 +290,100 @@ def merge_fast(first: StreamKernel, second: StreamKernel, subtract: bool):
 # ----------------------------------------------------------------------
 
 
+def _peak_excess(stream: StreamKernel) -> float:
+    """``max(0, max_k (A(t(k)) - t(k)))``: the bound when ``C(t) = t``.
+
+    With no interference both the delay and the backlog bound reduce to
+    this, attained at an arrival breakpoint by concavity.
+    """
+    return max(0.0, max(map(sub, stream.cumbits, stream.times)))
+
+
 def delay_bound_fast(stream: StreamKernel,
                      higher: Optional[StreamKernel]) -> float:
-    """Vectorized Algorithm 4.1; caller has already checked stability.
+    """Algorithm 4.1 on prefix sums; caller has already checked stability.
 
-    All candidate instants -- the arrival breakpoints plus the
-    pre-images under ``A`` of every service breakpoint -- are evaluated
-    in one batch: ``A(t)`` by searchsorted into the arrival prefix
-    sums, then the sup-inverse of the service curve by searchsorted
-    into the service prefix sums.
+    The candidate instants are the arrival breakpoints plus the finite
+    pre-images under ``A`` of every service breakpoint.  ``A(t)`` comes
+    from the arrival prefix sums, the sup-inverse of the service curve
+    from a search of the service prefix sums.
     """
     if higher is None:
-        # C(t) = t: the bound degenerates to max_t (A(t) - t), attained
-        # at an arrival breakpoint by concavity.
-        return max(0.0, float((stream.cumbits - stream.times).max()))
+        return _peak_excess(stream)
 
+    times, rates, cumbits = stream.times, stream.rates, stream.cumbits
     values, slopes = higher.service
-    preimages = stream.time_of_bits_array(values)
-    # Duplicates are harmless under a max-reduction, so no dedupe/sort.
-    candidates = np.concatenate(
-        (stream.times, preimages[np.isfinite(preimages)])
-    )
-    arrived = stream.bits(candidates)
+    # ``(t, A(t))`` of every candidate: each arrival breakpoint, then
+    # the pre-image of each service breakpoint (``A(0) = 0`` for a
+    # non-positive service level; none where ``A`` never gets there).
+    candidates = list(zip(times, cumbits))
+    for amount in values:
+        if amount <= 0.0:
+            candidates.append((0.0, 0.0))
+            continue
+        segment = bisect_left(cumbits, amount) - 1
+        rate = rates[segment]
+        if rate <= 0.0:
+            continue
+        instant = times[segment] + (amount - cumbits[segment]) / rate
+        if instant != _INF:
+            index = bisect_right(times, instant) - 1
+            candidates.append((instant, cumbits[index]
+                               + rates[index] * (instant - times[index])))
 
     # Sup-inverse of C: the first segment whose *end* value exceeds the
-    # arrival count; ``side="right"`` lands on the right edge of any
-    # plateau, matching ServiceCurve.inverse.
-    position = values.searchsorted(arrived, side="right")
-    segment = position - 1  # position >= 1 because values[0] = 0 <= arrived
-    segment_slopes = slopes[segment]
-    if (segment_slopes <= 0.0).any():
-        # A zero-slope selection means the service curve never exceeds
-        # the required level: unbounded delay despite balanced rates.
-        return math.inf
-    leave = (higher.times[segment]
-             + (arrived - values[segment]) / segment_slopes)
-    return max(0.0, float((leave - candidates).max()))
+    # arrival count, i.e. a right-side search of ``values``.  Where the
+    # interference rate exceeds 1 by float noise, ``values`` dips and is
+    # not sorted, and the search result then depends on its bounds.
+    # They carry from one candidate to the next as in NumPy's batched
+    # ``searchsorted``: kept from the last result after a key that did
+    # not decrease, reopened from 0 after one that did.  The golden
+    # digest in ``tests/test_properties_kernels.py`` pins this.
+    higher_times = higher.times
+    count = len(values)
+    low = 0
+    high = count
+    previous = -_INF
+    best = 0.0
+    for instant, arrived in candidates:
+        if previous <= arrived:
+            high = count
+        else:
+            low = 0
+            if high < count:
+                high += 1
+        previous = arrived
+        low = high = bisect_right(values, arrived, low, high)
+        segment = low - 1
+        slope = slopes[segment]
+        if slope <= 0.0:
+            # A zero-slope selection means the service curve never
+            # exceeds the required level: unbounded delay despite
+            # balanced rates.
+            return _INF
+        delay = (higher_times[segment] + (arrived - values[segment]) / slope
+                 - instant)
+        if delay > best:
+            best = delay
+    return best
 
 
 def backlog_bound_fast(stream: StreamKernel,
                        higher: Optional[StreamKernel]) -> float:
-    """Vectorized worst-case backlog ``max_u (A(u) - C(u))``."""
+    """Worst-case backlog ``max_u (A(u) - C(u))`` over both breakpoint sets."""
     if higher is None:
-        return max(0.0, float((stream.cumbits - stream.times).max()))
-    points = np.concatenate((stream.times, higher.times))
-    backlog = stream.bits(points) - higher.service_values(points)
-    return max(0.0, float(backlog.max()))
+        return _peak_excess(stream)
+    times, rates, cumbits = stream.times, stream.rates, stream.cumbits
+    higher_times = higher.times
+    values, slopes = higher.service
+    best = 0.0
+    for point in chain(times, higher_times):
+        index = bisect_right(times, point) - 1
+        arrived = cumbits[index] + rates[index] * (point - times[index])
+        segment = bisect_right(higher_times, point) - 1
+        served = (values[segment]
+                  + slopes[segment] * (point - higher_times[segment]))
+        backlog = arrived - served
+        if backlog > best:
+            best = backlog
+    return best

@@ -30,7 +30,11 @@ from typing import List
 
 from ..exceptions import TrafficModelError
 from .bitstream import BitStream, Number
-from .kernels import np as _np
+
+try:  # NumPy is optional; long cell schedules use it when present.
+    import numpy as _np
+except ImportError:  # pragma: no cover - exercised only without numpy
+    _np = None
 
 #: Below this cell count the scalar loop beats NumPy array overhead.
 _VECTOR_MIN_CELLS = 16

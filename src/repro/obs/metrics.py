@@ -63,6 +63,9 @@ METRIC_HELP: Dict[str, str] = {
         "Admission checks whose result violated at least one bound.",
     "cac_check_seconds":
         "Wall-clock latency of one switch admission check.",
+    "cac_screen_total":
+        "Admission checks by (sigma, rho) headroom-screen outcome "
+        "(accept/reject decided by the screen, exact fell through).",
     "cac_admits_total":
         "One-shot admit() commitments at a switch.",
     "cac_reserves_total":
@@ -89,7 +92,7 @@ METRIC_HELP: Dict[str, str] = {
         "Journal entries replayed by the most recent recover().",
     "kernel_path_total":
         "Delay/backlog bound evaluations by execution path "
-        "(numpy fast path vs exact scalar).",
+        "(path=numpy: float list kernels; path=scalar: exact int/Fraction).",
     "network_setups_total":
         "Route-level setup walks by outcome "
         "(accepted/rejected/timeout/unsatisfiable).",

@@ -1,5 +1,8 @@
 """The metrics registry: instruments, labels, null objects, handles."""
 
+import pathlib
+import re
+
 import pytest
 
 from repro.obs import metrics as om
@@ -156,3 +159,13 @@ class TestCatalogue:
                      "signaling_hop_rtt", "journal_ops_total",
                      "sim_cells_delivered_total"):
             assert name in METRIC_HELP
+
+    def test_documented_catalogue_matches_metric_help(self):
+        # Only the "Metric catalogue" section: the event-bus table further
+        # down lists categories, not metrics.
+        doc = (pathlib.Path(__file__).resolve().parents[1]
+               / "docs" / "observability.md").read_text(encoding="utf-8")
+        section = doc.split("## Metric catalogue", 1)[1].split("\n## ", 1)[0]
+        documented = re.findall(r"^\| `(\w+)` \|", section, re.MULTILINE)
+        assert len(documented) == len(set(documented))
+        assert set(documented) == set(METRIC_HELP)

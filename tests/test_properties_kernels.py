@@ -1,11 +1,11 @@
-"""Property tests: the NumPy float fast path agrees with the exact path.
+"""Property tests: the float list kernels agree with the exact path.
 
 Every strategy generates exact :class:`fractions.Fraction` streams, runs
 the algorithm on them (which always takes the scalar exact path -- a
 kernel is never built for Fraction inputs), then re-runs the algorithm
-on the float twins produced by :meth:`BitStream.as_floats` (which take
-the :mod:`repro.core.kernels` fast path whenever NumPy is available)
-and asserts agreement to within 1e-9.
+on the float twins produced by :meth:`BitStream.as_floats` (which
+always take the :mod:`repro.core.kernels` float path) and asserts
+agreement to within 1e-9.
 
 The generated fractions have small denominators, so exact values near
 decision boundaries (stability ``rate <= 1``, zero service slope) are
@@ -13,17 +13,23 @@ either *at* the boundary -- where the float conversion is exact -- or
 at least ~1e-6 away from it, far beyond float round-off.  Branch
 decisions therefore never flip between the two paths and ``inf``
 results must match exactly.
+
+Agreement within 1e-9 cannot see a reordered float operation, so the
+end of the module pins the kernels bit for bit: a SHA-256 over the
+``float.hex`` of every output of a seeded float corpus, and a literal
+razor-edge pair whose interference rises above rate 1 by float noise.
 """
 
+import hashlib
 import math
+import random
 from fractions import Fraction as F
 
-import pytest
 from hypothesis import given, strategies as st
 
 from repro.core.bitstream import BitStream, ZERO_STREAM, aggregate
 from repro.core.delay_bound import backlog_bound_with_higher, delay_bound
-from repro.core.kernels import kernels_enabled
+from repro.core.traffic import VBRParameters
 
 TOLERANCE = 1e-9
 
@@ -68,12 +74,8 @@ def test_fraction_streams_never_get_a_kernel(s):
 
 
 @given(monotone_streams())
-def test_float_streams_get_a_kernel_when_numpy_present(s):
-    twin = s.as_floats()
-    if kernels_enabled():
-        assert twin.kernel is not None
-    else:  # pragma: no cover - exercised only without numpy
-        assert twin.kernel is None
+def test_float_streams_get_a_kernel(s):
+    assert s.as_floats().kernel is not None
 
 
 def test_pure_int_streams_stay_exact():
@@ -176,7 +178,6 @@ def _scalar_only(stream):
     return copy
 
 
-@pytest.mark.skipif(not kernels_enabled(), reason="NumPy not available")
 @given(st.lists(monotone_streams(), min_size=2, max_size=6))
 def test_kernel_aggregate_matches_scalar_floats(streams):
     twins = [s.as_floats() for s in streams]
@@ -186,7 +187,6 @@ def test_kernel_aggregate_matches_scalar_floats(streams):
     assert fast.approx_equal(slow, TOLERANCE)
 
 
-@pytest.mark.skipif(not kernels_enabled(), reason="NumPy not available")
 @given(monotone_streams(max_head_rate=2), monotone_streams(max_head_rate=2))
 def test_kernel_delay_bound_matches_scalar_floats(arrivals, interference):
     higher = interference.filtered().as_floats()
@@ -194,3 +194,125 @@ def test_kernel_delay_bound_matches_scalar_floats(arrivals, interference):
     fast = delay_bound(twin, higher)
     slow = delay_bound(_scalar_only(twin), _scalar_only(higher))
     assert close(fast, slow)
+
+
+# ----------------------------------------------------------------------
+# Bit-identity pins
+# ----------------------------------------------------------------------
+
+#: ``(arrivals, interference)`` from the vbr-2prio benchmark workload: the
+#: filtered higher-priority aggregate rises to 1.0000000000000004 within
+#: the rate tolerance, so its leftover service dips below zero by 5.6e-15.
+RAZOR_PAIR = (
+    BitStream([1, 0.08000000000000008, 0.08, 0.08000000000000022, 0.08],
+              [0, 30.347826086956523, 38.69565217391305,
+               48.19047619047619, 66.47619047619048]),
+    BitStream([1, 1.0000000000000004, 1.0, 0.16],
+              [0, 6.000000000000001, 18.5, 40.66666666666666]),
+)
+
+
+def test_interference_above_link_rate_by_float_noise():
+    # The kernel clamps the dip and returns a finite bound; the generic
+    # path, which float streams took when NumPy was missing, raised
+    # "amount must be non-negative" here.
+    assert float(delay_bound(*RAZOR_PAIR)).hex() == "0x1.7393e032e1c9fp+5"
+
+
+ULP = 2.0 ** -52
+
+#: SHA-256 of :func:`_corpus_digest`, recorded from the NumPy kernels the
+#: list kernels replaced; any reordered float operation changes it.
+GOLDEN_DIGEST = (
+    "8d9cd97607c5915825a67feb9bd21d73d9f90a1a9cbf3515324fe12582041c89"
+)
+
+
+def _random_stream(rng, head=1.0):
+    count = rng.randint(1, 6)
+    rates = sorted((head * (0.02 + 0.98 * rng.random())
+                    for _ in range(count)), reverse=True)
+    times = [0.0]
+    for _ in range(count - 1):
+        times.append(times[-1] + 0.25 + 20.0 * rng.random())
+    if count > 1 and rng.random() < 0.4:
+        # A rise by float noise, far inside the tolerance.
+        k = rng.randrange(1, count)
+        rates[k] = rates[k - 1] * (1.0 + rng.randint(1, 4) * ULP)
+    if rng.random() < 0.2:
+        # A residue of a demultiplexed aggregate: tiny, possibly negative.
+        rates.append(rng.choice((5e-16, -3e-17, 1e-12, -0.0)))
+        times.append(times[-1] + 0.5 + 10.0 * rng.random())
+    return BitStream(rates, times)
+
+
+def _vbr_stream(rng):
+    pcr = 0.1 + 0.9 * rng.random()
+    scr = pcr * (0.05 + 0.9 * rng.random())
+    return VBRParameters(pcr, scr, rng.randint(1, 30)).worst_case_stream()
+
+
+def _near_link_rate(rng):
+    """Filtered interference whose rate wobbles around 1 by a few ulps."""
+    count = rng.randint(2, 5)
+    rates = [1.0 + rng.randint(-4, 4) * ULP for _ in range(count)]
+    rates[0] = min(rates[0], 1.0)
+    rates.append(0.1 + 0.8 * rng.random())
+    times = [0.0]
+    for _ in range(count):
+        times.append(times[-1] + 0.5 + 15.0 * rng.random())
+    return BitStream(rates, times)
+
+
+def _stream(rng, head=1.0):
+    kind = rng.random()
+    if kind < 0.6:
+        return _random_stream(rng, head)
+    if kind < 0.9:
+        return _vbr_stream(rng).scaled(head)
+    return _near_link_rate(rng)
+
+
+def _token(value):
+    return value.hex() if isinstance(value, float) else repr(value)
+
+
+def _corpus_digest(cases=150, seed=20261017):
+    """Hash every rate, time and bound the float kernels produce."""
+    rng = random.Random(seed)
+    digest = hashlib.sha256()
+
+    def record(*values):
+        for value in values:
+            if isinstance(value, BitStream):
+                digest.update(" ".join(map(_token, value.rates)).encode())
+                digest.update(b"|")
+                digest.update(" ".join(map(_token, value.times)).encode())
+            else:
+                digest.update(_token(value).encode())
+            digest.update(b";")
+
+    record(delay_bound(*RAZOR_PAIR), backlog_bound_with_higher(*RAZOR_PAIR))
+    for _ in range(cases):
+        a, b, c, d = (_stream(rng) for _ in range(4))
+        total = aggregate([a, b, c])
+        record(a + b, (a + b) - b, total, total - c, total.patched(b, d))
+        record(aggregate([_stream(rng) for _ in range(rng.randint(2, 12))]))
+        burst = _stream(rng, head=1.0 + 2.0 * rng.random())
+        record(burst.filtered(), burst.filtered(0.5 + 0.5 * rng.random()))
+        record(a.delayed(30.0 * rng.random()), d.delayed(rng.randint(1, 9)))
+        higher = aggregate([b, c]).filtered()
+        near = _near_link_rate(rng)
+        for arrivals in (a, d, total.filtered(), burst):
+            for interference in (None, higher, near):
+                record(delay_bound(arrivals, interference),
+                       backlog_bound_with_higher(arrivals, interference))
+        for t in (0.0, 40.0 * rng.random(), float(rng.randint(0, 60))):
+            record(total.bits(t), total.rate_at(t), a.bits(t))
+        for amount in (0.0, 30.0 * rng.random(), float(rng.randint(1, 20))):
+            record(total.time_of_bits(amount), d.time_of_bits(amount))
+    return digest.hexdigest()
+
+
+def test_float_kernels_are_bit_identical_to_the_golden_digest():
+    assert _corpus_digest() == GOLDEN_DIGEST
