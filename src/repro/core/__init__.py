@@ -6,9 +6,8 @@ Re-exports the pieces a typical user composes:
 * the bit-stream algebra (:class:`BitStream`, :func:`aggregate`);
 * the worst-case analysis (:func:`delay_bound`);
 * per-switch and network-level admission control
-  (:class:`SwitchCAC`, :class:`NetworkCAC`) and the layered state
-  beneath them (:class:`PortState`, :class:`AdmissionStore` -- see
-  ``docs/architecture.md``);
+  (:class:`SwitchCAC`, :class:`NetworkCAC`) and the per-port state
+  beneath them (:class:`PortState` -- see ``docs/architecture.md``);
 * the event-driven admission plane (:class:`AdmissionPlane`) running
   concurrent in-flight setups on the shared simulation engine;
 * CDV accumulation policies (:data:`HARD`, :data:`SOFT`);
@@ -35,7 +34,6 @@ from .delay_bound import (
 from .plane import AdmissionPlane, SetupOutcome
 from .port_state import PortState
 from .server import AdmissionDecision, AuditEntry, CacServer, PlanReport
-from .store import AdmissionStore
 from .switch_cac import (
     CheckResult,
     Leg,
@@ -71,7 +69,6 @@ __all__ = [
     "CheckResult",
     "PriorityBoundViolation",
     "PortState",
-    "AdmissionStore",
     "NetworkCAC",
     "AdmissionPlane",
     "SetupOutcome",

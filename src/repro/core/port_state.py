@@ -163,10 +163,6 @@ class PortState:
         """Whether per-input aggregates are filtered by the incoming link."""
         return self.own.filter_per_input
 
-    @filter_per_input.setter
-    def filter_per_input(self, value: bool) -> None:
-        self.own.filter_per_input = self.higher.filter_per_input = value
-
     def in_links(self) -> List[str]:
         """Incoming links currently carrying traffic to this port, sorted."""
         return sorted(self.own.sia)

@@ -30,16 +30,18 @@ priority -- in RTnet the size of the priority-``p`` FIFO in cells --
 independent of current load (Section 4.1), which is what lets the
 distributed setup procedure accumulate CDV without iterating.
 
-Layering (see ``docs/architecture.md``): this class is the admission
-*protocol* -- Steps 1-6, the two-phase transitions, journaling,
-recovery, metrics.  The *state* lives one layer down: every
-``(out_link, priority)`` port is a pure
-:class:`~repro.core.port_state.PortState` holding its own-priority
-and higher-priority aggregates and a memoized
-:class:`~repro.core.delay_bound.ServiceCurve`, and all ports plus the
-committed/pending leg maps live in one
-:class:`~repro.core.store.AdmissionStore`.  Checks, journal replay and
-:meth:`verify_consistency` all go through that store.
+Layering (see ``docs/architecture.md``): this class runs the admission
+protocol -- Steps 1-6, the two-phase transitions, journaling, recovery,
+metrics -- and holds the switch's bookkeeping: its ports, the committed
+and pending leg maps, each reservation's :class:`CheckResult` and the
+in-link rate ledger.  Every ``(out_link, priority)`` port is a pure
+:class:`~repro.core.port_state.PortState` holding its own-priority and
+higher-priority aggregates and a memoized
+:class:`~repro.core.delay_bound.ServiceCurve`.  What each journal op
+(``reserve``, ``admit``, ``commit``, ``abort``, ``release``) does to the
+legs and aggregates is written once, in ``_transition``: live
+operations journal an op and run it, and :meth:`recover` replays the
+journal through the same method.
 
 Transactional setup (see ``docs/robustness.md``): the two-phase network
 walk first *reserves* a leg (:meth:`reserve` -- resources held, not yet
@@ -70,7 +72,6 @@ from .bitstream import BitStream, Number, ZERO_STREAM
 from .delay_bound import (backlog_bound_with_higher, delay_bound,
                           latency_rate_bound)
 from .port_state import PortState
-from .store import AdmissionStore
 
 __all__ = ["SwitchCAC", "Leg", "CheckResult", "PriorityBoundViolation"]
 
@@ -254,9 +255,15 @@ class SwitchCAC:
         #: screened admission fast path (CAC_FAST_PATH env default).
         self.fast_path = (_fast_path_default() if fast_path is None
                           else bool(fast_path))
-        #: all CAC state -- ports, caches, committed/pending legs.
-        self._store = AdmissionStore()
-        self._store.attach(filter_per_input, self._count_cache)
+        #: out link -> {priority: PortState}, priorities ascending.
+        self._ports: Dict[str, Dict[int, PortState]] = {}
+        #: committed and pending (reserved, uncommitted) legs, in order.
+        self._committed: Dict[str, Leg] = {}
+        self._pending: Dict[str, Leg] = {}
+        #: the result a pending reservation replays on re-delivery.
+        self._results: Dict[str, CheckResult] = {}
+        #: admitted long-run rate per incoming link (exact + fast path).
+        self._in_link_rate: Dict[str, Number] = {}
         #: stable storage: survives crash(), drives recover().
         self._journal = AdmissionJournal()
         self._crashed = False
@@ -292,11 +299,6 @@ class SwitchCAC:
     # Configuration
     # ------------------------------------------------------------------
 
-    @property
-    def store(self) -> AdmissionStore:
-        """The store holding every port and leg of this switch."""
-        return self._store
-
     def configure_link(self, out_link: str,
                        bounds: Mapping[int, Number]) -> None:
         """Declare an output link and its advertised per-priority bounds.
@@ -305,7 +307,9 @@ class SwitchCAC:
         to the fixed queueing delay bound (in cell times) the switch
         guarantees -- in RTnet, the FIFO queue size in cells.  Once the
         link carries connections its bounds may change but its set of
-        priorities may not (:class:`AdmissionError`).
+        priorities may not (:class:`AdmissionError`): a port added next
+        to live traffic would start without the interference already
+        admitted above it, and a dropped one would strand its legs.
         """
         if not bounds:
             raise ValueError("an output link needs at least one priority")
@@ -315,17 +319,35 @@ class SwitchCAC:
                     f"advertised bound must be positive, got {bound} for "
                     f"priority {priority}"
                 )
-        self._store.configure_link(out_link, bounds)
+        current = self._ports.get(out_link, {})
+        if current and set(current) != set(bounds) and any(
+                leg.out_link == out_link
+                for legs in (self._committed, self._pending)
+                for leg in legs.values()):
+            raise AdmissionError(
+                f"link {out_link!r} carries connections; its priorities "
+                f"{sorted(current)} cannot change to {sorted(bounds)}"
+            )
+        ports: Dict[int, PortState] = {}
+        for priority in sorted(bounds):
+            port = current.get(priority)
+            if port is None:
+                port = PortState(out_link, priority, bounds[priority],
+                                 filter_per_input=self.filter_per_input,
+                                 on_cache=self._count_cache)
+            port.advertised_bound = bounds[priority]
+            ports[priority] = port
+        self._ports[out_link] = ports
 
     def advertised_bound(self, out_link: str, priority: int) -> Number:
         """The fixed bound ``D(j, p)`` the switch guarantees."""
-        if self._store.has_link(out_link) and \
-                priority in self._store.priorities(out_link):
-            return self._store.port(out_link, priority).advertised_bound
-        raise AdmissionError(
-            f"switch {self.name!r} does not serve priority {priority} "
-            f"on link {out_link!r}"
-        )
+        port = self._ports.get(out_link, {}).get(priority)
+        if port is None:
+            raise AdmissionError(
+                f"switch {self.name!r} does not serve priority {priority} "
+                f"on link {out_link!r}"
+            )
+        return port.advertised_bound
 
     def out_links(self) -> List[str]:
         """Names of the configured output links, sorted.
@@ -333,11 +355,11 @@ class SwitchCAC:
         Deterministic (sorted) so serialization and Prometheus
         exposition are reproducible across runs.
         """
-        return self._store.out_links()
+        return sorted(self._ports)
 
     def priorities(self, out_link: str) -> List[int]:
         """Real-time priorities served on ``out_link``, highest first."""
-        return self._store.priorities(out_link)
+        return list(self._ports[out_link])
 
     # ------------------------------------------------------------------
     # State access
@@ -346,12 +368,12 @@ class SwitchCAC:
     @property
     def legs(self) -> Mapping[str, Leg]:
         """The currently admitted (committed) legs, keyed by connection id."""
-        return dict(self._store.committed())
+        return dict(self._committed)
 
     @property
     def pending(self) -> Mapping[str, Leg]:
         """Reserved-but-uncommitted legs of in-flight two-phase walks."""
-        return dict(self._store.pending())
+        return dict(self._pending)
 
     @property
     def journal(self) -> AdmissionJournal:
@@ -392,14 +414,22 @@ class SwitchCAC:
 
     def port(self, out_link: str, priority: int) -> PortState:
         """The :class:`PortState` of one configured port."""
-        return self._store.port(out_link, priority)
+        try:
+            return self._ports[out_link][priority]
+        except KeyError:
+            raise AdmissionError(
+                f"no port for priority {priority} on link {out_link!r}"
+            ) from None
+
+    def _ports_below(self, out_link: str, priority: int) -> List[PortState]:
+        """Same-link ports of strictly lower priority, highest first."""
+        return [port for lower, port in self._ports[out_link].items()
+                if lower > priority]
 
     def sia(self, in_link: str, out_link: str, priority: int) -> BitStream:
         """``Sia(i, j, p)``: the per-pair per-priority aggregate."""
-        if not self._store.has_link(out_link) or \
-                priority not in self._store.priorities(out_link):
-            return ZERO_STREAM
-        return self._store.port(out_link, priority).sia(in_link)
+        port = self._ports.get(out_link, {}).get(priority)
+        return ZERO_STREAM if port is None else port.sia(in_link)
 
     def soa(self, out_link: str, priority: int,
             replace: Optional[Tuple[str, BitStream]] = None) -> BitStream:
@@ -411,7 +441,7 @@ class SwitchCAC:
         sum this is one subtract-and-add delta, O(m), instead of
         a re-aggregation over every incoming link.
         """
-        return self._store.port(out_link, priority).soa(replace=replace)
+        return self.port(out_link, priority).soa(replace=replace)
 
     def sof_higher(self, out_link: str, priority: int,
                    extra: Optional[Tuple[str, BitStream]] = None) -> BitStream:
@@ -423,27 +453,69 @@ class SwitchCAC:
         existing lower priority); like ``replace`` above, the candidate
         variant is an O(m) delta against the patched interference sum.
         """
-        return self._store.port(out_link, priority).sof_higher(extra=extra)
+        return self.port(out_link, priority).sof_higher(extra=extra)
 
     # ------------------------------------------------------------------
     # Incremental state transitions
     # ------------------------------------------------------------------
 
-    def _apply(self, in_link: str, out_link: str, priority: int,
-               stream: BitStream, add: bool) -> None:
+    def _apply(self, leg: Leg, add: bool) -> None:
         """Patch every aggregate for one admit/release delta.
 
-        The port's own ``Sia``/``Sif``/``Soa`` and the higher-priority
-        interference of every lower priority are updated by a single
-        ``+``/``-`` of the connection's stream (Algorithms 3.2/3.3);
-        only the final output filter and the ServiceCurve of affected
-        lower priorities are recomputed, on the next check that needs
-        them.  :meth:`AdmissionStore.apply_delta` does the patching.
+        The leg's stream is added to (or removed from) the in-link
+        ledger, the ``higher`` aggregate of every lower-priority port on
+        the link, and the port's own ``own`` aggregate -- one ``+``/``-``
+        each (Algorithms 3.2/3.3).  No port reads another, so each
+        port's floats depend only on the sequence of deltas it sees:
+        the incremental arithmetic :meth:`recover` relies on for
+        bit-identical replay.  Only the final output filter and the
+        ServiceCurve of affected lower priorities are recomputed, on the
+        next check that needs them.
         """
         obs = self._rebind()
         if obs.enabled:
             obs.incremental.inc()
-        self._store.apply_delta(in_link, out_link, priority, stream, add)
+        in_link, stream = leg.in_link, leg.stream
+        rate = stream.long_run_rate
+        base = self._in_link_rate.get(in_link, 0)
+        self._in_link_rate[in_link] = (base + rate) if add else (base - rate)
+        for lower in self._ports_below(leg.out_link, leg.priority):
+            lower.apply_higher(in_link, stream, add)
+        self.port(leg.out_link, leg.priority).apply_same(in_link, stream, add)
+
+    def _transition(self, op: str, connection_id: str,
+                    leg: Optional[Leg] = None) -> Leg:
+        """Run one journal op on the legs and aggregates; return its leg.
+
+        The one definition of the five ops: ``reserve`` and ``admit``
+        book ``leg`` as pending or committed and add its stream;
+        ``commit`` moves a pending leg to committed; ``abort`` and
+        ``release`` drop a pending or committed leg and subtract its
+        stream.  Live operations validate, then reach this through
+        :meth:`_record`; :meth:`recover` replays the journal through it
+        directly, so replay repeats the live arithmetic op for op.
+        """
+        if op in ("reserve", "admit"):
+            assert leg is not None, f"a {op!r} op carries its leg"
+            booked = self._pending if op == "reserve" else self._committed
+            booked[connection_id] = leg
+            self._apply(leg, add=True)
+            return leg
+        self._results.pop(connection_id, None)
+        if op == "commit":
+            leg = self._committed[connection_id] = \
+                self._pending.pop(connection_id)
+            return leg
+        held = self._pending if op == "abort" else self._committed
+        leg = held.pop(connection_id)
+        self._apply(leg, add=False)
+        return leg
+
+    def _record(self, op: str, connection_id: str,
+                leg: Optional[Leg] = None) -> Leg:
+        """Journal one op, then run it (:meth:`_transition`)."""
+        self._journal.append(op, connection_id, leg)
+        return self._transition(op, connection_id, leg)
 
     # ------------------------------------------------------------------
     # Admission (Steps 1-6)
@@ -475,37 +547,26 @@ class SwitchCAC:
     def _check_impl(self, in_link: str, out_link: str, priority: int,
                     stream: BitStream) -> CheckResult:
         self._ensure_up()
-        if not self._store.has_link(out_link):
+        ports = self._ports.get(out_link)
+        if ports is None:
             raise AdmissionError(
                 f"switch {self.name!r} has no output link {out_link!r}"
             )
-        if priority not in self._store.priorities(out_link):
+        port = ports.get(priority)
+        if port is None:
             raise AdmissionError(
                 f"switch {self.name!r} does not serve priority {priority} "
                 f"on link {out_link!r}"
             )
-        port = self._store.port(out_link, priority)
-
-        computed: Dict[int, Number] = {}
-        violations: List[PriorityBoundViolation] = []
 
         # Feasibility of the incoming link itself.  Filtering caps a
         # per-input aggregate at the link rate, which would otherwise
         # silently mask a physically impossible load (total sustained
         # rate beyond what the incoming link can ever deliver) as a
-        # zero-delay stream.  The rate comes from the store's in-link
-        # ledger -- the same sums on the exact and screened paths.
-        if self._store.in_link_rate(in_link) + stream.long_run_rate > 1:
-            violations.append(PriorityBoundViolation(
-                priority, math.inf, port.advertised_bound,
-            ))
-            computed[priority] = math.inf
-            return CheckResult(
-                switch=self.name,
-                out_link=out_link,
-                computed_bounds=computed,
-                violations=tuple(violations),
-            )
+        # zero-delay stream.  The rate comes from the in-link ledger --
+        # the same sums on the exact and screened paths.
+        if self._in_link_rate.get(in_link, 0) + stream.long_run_rate > 1:
+            return self._unbounded(priority, port)
 
         if self.fast_path:
             screened = self._screen(priority, stream, port)
@@ -514,6 +575,9 @@ class SwitchCAC:
                                   else "reject")
                 return screened
             self._note_screen("exact")
+
+        computed: Dict[int, Number] = {}
+        violations: List[PriorityBoundViolation] = []
 
         # Step 2-4: the new connection's own priority.
         new_sia = port.sia(in_link) + stream
@@ -527,7 +591,7 @@ class SwitchCAC:
             ))
 
         # Steps 5-6: every lower real-time priority on the same port.
-        for lower_port in self._store.ports_below(out_link, priority):
+        for lower_port in self._ports_below(out_link, priority):
             soa_lower = lower_port.soa()
             if soa_lower.is_zero:
                 continue  # no traffic to disturb
@@ -544,6 +608,16 @@ class SwitchCAC:
             out_link=out_link,
             computed_bounds=computed,
             violations=tuple(violations),
+        )
+
+    def _unbounded(self, priority: int, port: PortState) -> CheckResult:
+        """A rejection: the candidate's own priority has no finite bound."""
+        return CheckResult(
+            switch=self.name,
+            out_link=port.out_link,
+            computed_bounds={priority: math.inf},
+            violations=(PriorityBoundViolation(
+                priority, math.inf, port.advertised_bound),),
         )
 
     def _note_screen(self, outcome: str) -> None:
@@ -588,13 +662,7 @@ class SwitchCAC:
         capped_higher = rate_higher if rate_higher < 1 else 1
         if rate_same > _SCREEN_GUARD and \
                 rate_same + capped_higher > 1 + _SCREEN_GUARD:
-            return CheckResult(
-                switch=self.name,
-                out_link=port.out_link,
-                computed_bounds={priority: math.inf},
-                violations=(PriorityBoundViolation(
-                    priority, math.inf, port.advertised_bound),),
-            )
+            return self._unbounded(priority, port)
 
         # Sufficient accept, candidate port first.
         computed: Dict[int, Number] = {}
@@ -606,7 +674,7 @@ class SwitchCAC:
         computed[priority] = bound
 
         # ... then every lower port the exact path would re-check.
-        for lower in self._store.ports_below(port.out_link, priority):
+        for lower in self._ports_below(port.out_link, priority):
             if lower.is_idle():
                 continue  # exact path skips it too (Soa is zero)
             bound = self._screen_port_bound(
@@ -640,6 +708,18 @@ class SwitchCAC:
             return None
         return bound
 
+    def _checked(self, leg: Leg) -> CheckResult:
+        """:meth:`check` one leg; :class:`SwitchRejection` on a violation."""
+        result = self.check(leg.in_link, leg.out_link, leg.priority,
+                            leg.stream)
+        if not result.admitted:
+            worst = result.violations[0]
+            raise SwitchRejection(
+                self.name, leg.out_link, worst.priority,
+                worst.computed_bound, worst.advertised_bound,
+            )
+        return result
+
     def admit(self, connection_id: str, in_link: str, out_link: str,
               priority: int, stream: BitStream) -> CheckResult:
         """Check and, if every bound holds, commit the connection.
@@ -649,23 +729,14 @@ class SwitchCAC:
         connection id is already present.
         """
         self._ensure_up()
-        if self._store.get_committed(connection_id) is not None or \
-                self._store.get_pending(connection_id) is not None:
+        if connection_id in self._committed or connection_id in self._pending:
             raise AdmissionError(
                 f"connection {connection_id!r} already admitted at switch "
                 f"{self.name!r}"
             )
-        result = self.check(in_link, out_link, priority, stream)
-        if not result.admitted:
-            worst = result.violations[0]
-            raise SwitchRejection(
-                self.name, out_link, worst.priority,
-                worst.computed_bound, worst.advertised_bound,
-            )
         leg = Leg(connection_id, in_link, out_link, priority, stream)
-        self._store.put_committed(connection_id, leg)
-        self._journal.append("admit", connection_id, leg)
-        self._apply(in_link, out_link, priority, stream, add=True)
+        result = self._checked(leg)
+        self._record("admit", connection_id, leg)
         self._rebind().admits.inc()
         return result
 
@@ -681,9 +752,8 @@ class SwitchCAC:
         :meth:`rollback` instead.
         """
         self._ensure_up()
-        leg = self._store.pop_committed(connection_id)
-        if leg is None:
-            if self._store.get_pending(connection_id) is not None:
+        if connection_id not in self._committed:
+            if connection_id in self._pending:
                 raise AdmissionError(
                     f"connection {connection_id!r} is only reserved (not "
                     f"committed) at switch {self.name!r}; rollback() is the "
@@ -694,9 +764,7 @@ class SwitchCAC:
                 f"{self.name!r} (unknown or already released); aggregates "
                 f"left untouched"
             )
-        self._journal.append("release", connection_id)
-        self._apply(leg.in_link, leg.out_link, leg.priority, leg.stream,
-                    add=False)
+        leg = self._record("release", connection_id)
         self._rebind().releases.inc()
         return leg
 
@@ -716,47 +784,37 @@ class SwitchCAC:
         :class:`AdmissionError`.
         """
         self._ensure_up()
-        if self._store.get_committed(connection_id) is not None:
+        if connection_id in self._committed:
             raise AdmissionError(
                 f"connection {connection_id!r} already admitted at switch "
                 f"{self.name!r}"
             )
         leg = Leg(connection_id, in_link, out_link, priority, stream)
-        held = self._store.get_pending(connection_id)
+        held = self._pending.get(connection_id)
         if held is not None:
             if held != leg:
                 raise AdmissionError(
                     f"connection {connection_id!r} already holds a "
                     f"conflicting reservation at switch {self.name!r}"
                 )
-            return self._store.pending_result(connection_id)
-        result = self.check(in_link, out_link, priority, stream)
-        if not result.admitted:
-            worst = result.violations[0]
-            raise SwitchRejection(
-                self.name, out_link, worst.priority,
-                worst.computed_bound, worst.advertised_bound,
-            )
-        self._store.put_pending(connection_id, leg, result)
-        self._journal.append("reserve", connection_id, leg)
-        self._apply(in_link, out_link, priority, stream, add=True)
+            return self._results[connection_id]
+        result = self._results[connection_id] = self._checked(leg)
+        self._record("reserve", connection_id, leg)
         self._rebind().reserves.inc()
         return result
 
     def commit(self, connection_id: str) -> Leg:
         """Phase 2: confirm a reservation.  Idempotent on re-delivery."""
         self._ensure_up()
-        committed = self._store.get_committed(connection_id)
+        committed = self._committed.get(connection_id)
         if committed is not None:
             return committed
-        leg = self._store.pop_pending(connection_id)
-        if leg is None:
+        if connection_id not in self._pending:
             raise AdmissionError(
                 f"no reservation for connection {connection_id!r} to commit "
                 f"at switch {self.name!r}"
             )
-        self._store.put_committed(connection_id, leg)
-        self._journal.append("commit", connection_id)
+        leg = self._record("commit", connection_id)
         self._rebind().commits.inc()
         return leg
 
@@ -769,21 +827,14 @@ class SwitchCAC:
         cannot know how far the receiver got before a fault struck.
         """
         self._ensure_up()
-        leg = self._store.pop_pending(connection_id)
-        if leg is not None:
-            self._journal.append("abort", connection_id)
-            self._apply(leg.in_link, leg.out_link, leg.priority, leg.stream,
-                        add=False)
-            self._rebind().rollbacks.inc()
-            return leg
-        leg = self._store.pop_committed(connection_id)
-        if leg is not None:
-            self._journal.append("release", connection_id)
-            self._apply(leg.in_link, leg.out_link, leg.priority, leg.stream,
-                        add=False)
-            self._rebind().rollbacks.inc()
-            return leg
-        return None
+        if connection_id in self._pending:
+            leg = self._record("abort", connection_id)
+        elif connection_id in self._committed:
+            leg = self._record("release", connection_id)
+        else:
+            return None
+        self._rebind().rollbacks.inc()
+        return leg
 
     def expire(self, connection_id: str) -> Optional[Leg]:
         """Discard a *pending* reservation whose hold timer ran out.
@@ -798,14 +849,25 @@ class SwitchCAC:
         ``abort``, exactly like an explicit unwind.
         """
         self._ensure_up()
-        leg = self._store.pop_pending(connection_id)
-        if leg is None:
+        if connection_id not in self._pending:
             return None
-        self._journal.append("abort", connection_id)
-        self._apply(leg.in_link, leg.out_link, leg.priority, leg.stream,
-                    add=False)
+        leg = self._record("abort", connection_id)
         self._rebind().expiries.inc()
         return leg
+
+    def _clear(self) -> None:
+        """Drop legs, results, the in-link ledger and every aggregate.
+
+        Port configuration (advertised bounds) survives: it is boot
+        configuration, not run-time state.
+        """
+        self._committed.clear()
+        self._pending.clear()
+        self._results.clear()
+        self._in_link_rate.clear()
+        for ports in self._ports.values():
+            for port in ports.values():
+                port.clear()
 
     def crash(self) -> None:
         """Simulate a node failure: volatile state lost, journal kept.
@@ -816,7 +878,7 @@ class SwitchCAC:
         """
         self._crashed = True
         self._epoch += 1
-        self._store.clear_volatile()
+        self._clear()
 
     def recover(self) -> None:
         """Rebuild the caches by replaying the journal op-for-op.
@@ -827,21 +889,20 @@ class SwitchCAC:
         to what the switch held before the crash.  Reservations that
         never committed are in-flight transactions the crash aborted:
         they are discarded (and journaled as aborts) at the end of the
-        replay.  Every replayed transition goes through the same
-        :class:`AdmissionStore` as live admission, and the result is
-        validated with :meth:`verify_consistency`.
+        replay.  Every entry runs through ``_transition``, the method
+        live operations use, and the result is validated with
+        :meth:`verify_consistency`.
         """
         self._crashed = False
-        self._store.clear_volatile()
-        replayed = self._journal.replay_into(self._store, apply=self._apply)
-        for connection_id in list(self._store.pending()):
-            leg = self._store.pop_pending(connection_id)
-            self._journal.append("abort", connection_id)
-            self._apply(leg.in_link, leg.out_link, leg.priority, leg.stream,
-                        add=False)
+        self._clear()
+        entries = self._journal.entries
+        for entry in entries:
+            self._transition(entry.op, entry.connection_id, entry.leg)
+        for connection_id in list(self._pending):
+            self._record("abort", connection_id)
         obs = self._rebind()
         obs.recoveries.inc()
-        obs.replayed.set(replayed)
+        obs.replayed.set(len(entries))
         if not self.verify_consistency():
             raise AdmissionError(
                 f"journal recovery left switch {self.name!r} with "
@@ -856,11 +917,12 @@ class SwitchCAC:
     def snapshot_state(self) -> Dict[str, List[Leg]]:
         """The state-determining legs (committed and pending), in order.
 
-        A store-level snapshot: legs fully determine every aggregate.
-        See :func:`repro.network.serialization.switch_state_to_dict`
+        Legs fully determine every aggregate, so this is the whole
+        story.  See :func:`repro.network.serialization.switch_state_to_dict`
         for the JSON-safe form.
         """
-        return self._store.snapshot()
+        return {"committed": list(self._committed.values()),
+                "pending": list(self._pending.values())}
 
     def restore_state(self, snapshot: Mapping[str, Sequence[Leg]]) -> None:
         """Boot-time restore of a :meth:`snapshot_state` leg snapshot.
@@ -869,24 +931,28 @@ class SwitchCAC:
         leg is journaled -- committed legs as one-shot ``admit``
         entries, pending legs as ``reserve`` -- so a later
         :meth:`crash`/:meth:`recover` cycle still replays to exactly
-        this state.
+        this state.  Each pending leg is checked first, as
+        :meth:`reserve` does, and keeps that result for a re-delivered
+        SETUP; one that no longer passes raises :class:`AdmissionError`
+        naming it, with the legs before it already restored.
         """
         self._ensure_up()
-        if self._store.committed() or self._store.pending():
+        if self._committed or self._pending:
             raise AdmissionError(
                 f"switch {self.name!r} is not empty; restore_state is a "
                 f"boot-time operation"
             )
         for leg in snapshot.get("committed", ()):
-            self._store.put_committed(leg.connection_id, leg)
-            self._journal.append("admit", leg.connection_id, leg)
-            self._apply(leg.in_link, leg.out_link, leg.priority, leg.stream,
-                        add=True)
+            self._record("admit", leg.connection_id, leg)
         for leg in snapshot.get("pending", ()):
-            self._store.put_pending(leg.connection_id, leg)
-            self._journal.append("reserve", leg.connection_id, leg)
-            self._apply(leg.in_link, leg.out_link, leg.priority, leg.stream,
-                        add=True)
+            try:
+                self._results[leg.connection_id] = self._checked(leg)
+            except SwitchRejection as rejection:
+                raise AdmissionError(
+                    f"restored reservation {leg.connection_id!r} no longer "
+                    f"passes at switch {self.name!r}: {rejection}"
+                ) from rejection
+            self._record("reserve", leg.connection_id, leg)
         if not self.verify_consistency():
             raise AdmissionError(
                 f"restore left switch {self.name!r} with inconsistent caches"
@@ -898,7 +964,7 @@ class SwitchCAC:
 
     def computed_bound(self, out_link: str, priority: int) -> Number:
         """Worst-case delay bound of the *currently admitted* traffic."""
-        port = self._store.port(out_link, priority)
+        port = self.port(out_link, priority)
         soa = port.soa()
         if soa.is_zero:
             return 0
@@ -911,7 +977,7 @@ class SwitchCAC:
         stays at or below the configured queue length, worst-case
         traffic is never dropped.
         """
-        port = self._store.port(out_link, priority)
+        port = self.port(out_link, priority)
         soa = port.soa()
         if soa.is_zero:
             return 0
@@ -920,17 +986,17 @@ class SwitchCAC:
     def in_link_utilization(self, in_link: str) -> Number:
         """Long-run admitted rate entering via one incoming link.
 
-        Served from the store's in-link ledger -- a scalar running sum
-        patched by the same deltas as the aggregates, and the value the
+        Served from the in-link ledger -- a scalar running sum patched
+        by the same deltas as the aggregates, and the value the
         admission check's feasibility test reads on both the exact and
         the screened path.
         """
-        return self._store.in_link_rate(in_link)
+        return self._in_link_rate.get(in_link, 0)
 
     def utilization(self, out_link: str) -> Number:
         """Long-run admitted rate on an output link (1.0 == saturated)."""
         total: Number = 0
-        for port in self._store.ports_for(out_link):
+        for port in self._ports[out_link].values():
             total += port.long_run_rate()
         return total
 
@@ -942,7 +1008,7 @@ class SwitchCAC:
         it after long admit/release sequences to catch drift.
         """
         fresh: Dict[Tuple[str, str, int], BitStream] = {}
-        for legs in (self._store.committed(), self._store.pending()):
+        for legs in (self._committed, self._pending):
             for leg in legs.values():
                 key = (leg.in_link, leg.out_link, leg.priority)
                 base = fresh.get(key, ZERO_STREAM)
@@ -952,35 +1018,31 @@ class SwitchCAC:
     def verify_consistency(self, tolerance: float = 1e-9) -> bool:
         """True when every incremental aggregate matches a fresh rebuild.
 
-        Checks both aggregates of every port -- ``Sia`` ground truth,
-        patched output sum and ``(sigma, rho)`` ledger, own priority and
-        higher priorities -- against values recomputed from the per-leg
-        streams alone.  Every port is read
-        through the :class:`AdmissionStore`, so a store that corrupts
-        or loses state cannot pass.
+        Checks the in-link ledger and both aggregates of every port --
+        ``Sia`` ground truth, patched output sum and ``(sigma, rho)``
+        ledger, own priority and higher priorities -- against values
+        recomputed from the per-leg streams alone, so a switch that
+        corrupts or loses state cannot pass.
         """
         fresh = self.recompute_aggregates()
-        covered = {
-            (port.out_link, port.priority) for port in self._store.ports()
-        }
-        for (in_link, out_link, priority) in fresh:
-            if (out_link, priority) not in covered:
-                return False  # a leg on a port the store no longer has
         in_rates: Dict[str, Number] = {}
-        for (in_link, _out, _p), stream in fresh.items():
+        for (in_link, out_link, priority), stream in fresh.items():
+            if priority not in self._ports.get(out_link, {}):
+                return False  # a leg on a port the switch no longer has
             in_rates[in_link] = in_rates.get(in_link, 0) \
                 + stream.long_run_rate
         for in_link, expected in in_rates.items():
-            if abs(self._store.in_link_rate(in_link) - expected) > tolerance:
+            if abs(self._in_link_rate.get(in_link, 0) - expected) > tolerance:
                 return False
         return all(port.verify_against(fresh, tolerance)
-                   for port in self._store.ports())
+                   for ports in self._ports.values()
+                   for port in ports.values())
 
     def __repr__(self) -> str:
         status = ", crashed" if self._crashed else ""
         return (
             f"SwitchCAC(name={self.name!r}, "
-            f"legs={len(self._store.committed())}, "
-            f"pending={len(self._store.pending())}, "
+            f"legs={len(self._committed)}, "
+            f"pending={len(self._pending)}, "
             f"links={self.out_links()}{status})"
         )

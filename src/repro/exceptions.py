@@ -74,9 +74,11 @@ class SwitchRejection(AdmissionError):
 class RetryExhausted(ReproError, RuntimeError):
     """A retried operation failed on every allowed attempt.
 
-    Raised by :func:`repro.robustness.retry.retry_call` when the retry
-    budget (attempt count or deadline) runs out; the last transient
-    failure is chained as ``__cause__``.
+    Raised inside the signaling channel's retry loop
+    (:meth:`~repro.network.signaling.SignalingChannel.deliver_steps`)
+    when the retry budget (attempt count or deadline) runs out, and
+    chained as the ``__cause__`` of the
+    :class:`SignalingTimeout` the channel raises.
     """
 
     def __init__(self, attempts: int, elapsed: float):

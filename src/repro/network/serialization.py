@@ -202,14 +202,13 @@ def leg_from_dict(data: Mapping[str, Any]) -> Leg:
 
 
 def switch_state_to_dict(snapshot: Mapping[str, Any]) -> Dict[str, Any]:
-    """Serialize a :meth:`SwitchCAC.snapshot_state` /
-    :meth:`AdmissionStore.snapshot` leg snapshot.
+    """Serialize a :meth:`SwitchCAC.snapshot_state` leg snapshot.
 
     The legs fully determine every aggregate, so this round trip is a
-    complete store-level persistence story: restore with
+    complete persistence story for one switch: restore with
     :func:`switch_state_from_dict` into
-    :meth:`AdmissionStore.restore` (store only) or
-    :meth:`SwitchCAC.restore_state` (journaled, crash-recoverable).
+    :meth:`SwitchCAC.restore_state` on a freshly configured switch
+    (journaled, so crash recovery replays to the restored state).
     """
     return {
         "committed": [leg_to_dict(leg)

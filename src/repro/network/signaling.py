@@ -437,11 +437,12 @@ class SignalingChannel:
                       connection: str, process: Callable[[], T]):
         """Deliver one message as a resumable step generator.
 
-        The generator form of :meth:`deliver`: identical retry loop
-        (capped exponential backoff with full jitter, same RNG draw
-        order as :func:`repro.robustness.retry.retry_call`), but every
-        wait is a ``yield`` instead of a ``clock.advance``, so the same
-        exchange can run synchronously *or* as an engine process.
+        The generator form of :meth:`deliver` and the repository's one
+        retry loop: capped exponential backoff with full jitter
+        (:class:`~repro.robustness.retry.RetryPolicy`), with every wait
+        -- timeout or backoff -- a ``yield`` rather than a
+        ``clock.advance``, so the same exchange can run synchronously
+        *or* as an engine process.
         """
         registry = self._registry
         breaker = self.breakers.breaker(at_node, link) \
@@ -454,21 +455,9 @@ class SignalingChannel:
                                "fast-fail", detail=link)
             raise LinkDown(connection, at_node, link, phase)
 
-        def on_retry(attempt: int, backoff: float,
-                     _exc: BaseException) -> None:
-            if registry.enabled:
-                registry.counter("signaling_retransmits_total",
-                                 phase=phase).inc()
-            if self.trace is not None:
-                self.trace.record(RetryEvent(
-                    connection, at_node, phase, hop, attempt, backoff,
-                ))
-
         policy = self.retry_policy
         sent_at = self.clock.now()
         try:
-            # Inlined retry_call: the waits (backoffs, and the attempt's
-            # own timeouts) must be yields, which a callback cannot do.
             attempt = 0
             while True:
                 try:
@@ -483,7 +472,14 @@ class SignalingChannel:
                     if (policy.deadline is not None
                             and elapsed + backoff > policy.deadline):
                         raise RetryExhausted(attempt + 1, elapsed) from exc
-                    on_retry(attempt + 1, backoff, exc)
+                    if registry.enabled:
+                        registry.counter("signaling_retransmits_total",
+                                         phase=phase).inc()
+                    if self.trace is not None:
+                        self.trace.record(RetryEvent(
+                            connection, at_node, phase, hop, attempt + 1,
+                            backoff,
+                        ))
                     yield backoff
                     attempt += 1
         except RetryExhausted as exhausted:

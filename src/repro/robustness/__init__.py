@@ -65,7 +65,7 @@ from .migration import (
     MigrationReport,
     no_double_booking,
 )
-from .retry import RetryPolicy, retry_call
+from .retry import RetryPolicy
 
 #: Harness exports resolved lazily (PEP 562): the harness drives
 #: :class:`~repro.core.admission.NetworkCAC`, which itself imports the
@@ -90,7 +90,6 @@ def __getattr__(name: str):
 __all__ = [
     # retry
     "RetryPolicy",
-    "retry_call",
     # faults
     "DROP",
     "DELAY",

@@ -1,4 +1,4 @@
-"""Deadline-aware retry with exponential backoff and full jitter.
+"""Deadline-aware retry schedules: exponential backoff and full jitter.
 
 The signaling walk resends a message when it times out, but naive
 fixed-interval resends synchronise retransmissions across connections
@@ -6,25 +6,20 @@ and hammer a recovering switch.  The standard cure is *capped
 exponential backoff with full jitter*: before retry ``n`` the sender
 sleeps ``uniform(0, min(cap, base * 2**n))``.
 
-Everything here is driven by an injectable clock and RNG so the
-schedule is deterministic under test and never actually sleeps --
-simulated time only advances on a
-:class:`~repro.obs.clock.ManualClock` (one
-:class:`~repro.obs.clock.Clock` protocol for the whole repo).
+A :class:`RetryPolicy` only describes the schedule; the one retry loop
+that follows it is
+:meth:`~repro.network.signaling.SignalingChannel.deliver_steps`, which
+draws the backoffs from an injected RNG and spends them as simulated
+time, so schedules are deterministic under test and never sleep.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Callable, Optional, Tuple, Type, TypeVar
+from typing import Optional
 
-from ..exceptions import RetryExhausted
-from ..obs.clock import ManualClock
-
-__all__ = ["RetryPolicy", "retry_call"]
-
-T = TypeVar("T")
+__all__ = ["RetryPolicy"]
 
 
 @dataclass(frozen=True)
@@ -68,41 +63,3 @@ class RetryPolicy:
     def backoff_delay(self, retry_index: int, rng: random.Random) -> float:
         """Full jitter: uniform over ``[0, backoff_cap]``."""
         return rng.uniform(0.0, self.backoff_cap(retry_index))
-
-
-def retry_call(operation: Callable[[int], T], *,
-               policy: Optional[RetryPolicy] = None,
-               clock: Optional[ManualClock] = None,
-               rng: Optional[random.Random] = None,
-               retry_on: Tuple[Type[BaseException], ...] = (Exception,),
-               on_retry: Optional[Callable[[int, float, BaseException], None]]
-               = None) -> T:
-    """Call ``operation(attempt)`` until it succeeds or the budget runs out.
-
-    Exceptions matching ``retry_on`` are transient and trigger a backoff
-    and another attempt; anything else propagates immediately.  When the
-    attempt count or the deadline is exhausted, :class:`RetryExhausted`
-    is raised with the last transient failure chained as ``__cause__``.
-    ``on_retry(next_attempt, backoff, exc)`` observes every resend --
-    the signaling channel uses it to record
-    :class:`~repro.network.signaling.RetryEvent` messages.
-    """
-    policy = policy or RetryPolicy()
-    clock = clock or ManualClock()
-    rng = rng or random.Random(0)
-    start = clock.now()
-    for attempt in range(policy.max_attempts):
-        try:
-            return operation(attempt)
-        except retry_on as exc:
-            elapsed = clock.now() - start
-            if attempt + 1 >= policy.max_attempts:
-                raise RetryExhausted(attempt + 1, elapsed) from exc
-            backoff = policy.backoff_delay(attempt, rng)
-            if (policy.deadline is not None
-                    and elapsed + backoff > policy.deadline):
-                raise RetryExhausted(attempt + 1, elapsed) from exc
-            if on_retry is not None:
-                on_retry(attempt + 1, backoff, exc)
-            clock.advance(backoff)
-    raise AssertionError("unreachable: the loop either returns or raises")

@@ -1,18 +1,18 @@
-"""The layered switch state: PortState and the AdmissionStore.
+"""The layered switch state: PortState under SwitchCAC.
 
 The layering contract (``docs/architecture.md``): a pure
 :class:`PortState` per (out_link, priority) owns the aggregates and
-incremental caches; the :class:`AdmissionStore` holds every port and
-leg of one switch, iterates deterministically, and snapshots/restores
-the legs -- ``SwitchCAC`` routes *all* state through it.
+incremental caches; :class:`SwitchCAC` holds every port and leg of one
+switch, iterates deterministically, and snapshots/restores the legs.
 """
 
 from fractions import Fraction as F
 
 import pytest
 
-from repro.core import AdmissionStore, SwitchCAC
+from repro.core import SwitchCAC
 from repro.core.port_state import PortState
+from repro.core.switch_cac import Leg
 from repro.core.traffic import cbr
 from repro.exceptions import AdmissionError
 
@@ -88,7 +88,7 @@ class TestPortState:
 
 
 # ----------------------------------------------------------------------
-# AdmissionStore: the switch's state, driven through SwitchCAC
+# SwitchCAC: every port and leg of one switch
 # ----------------------------------------------------------------------
 
 
@@ -156,6 +156,38 @@ def test_snapshot_restore_round_trip():
     assert not target.pending
 
 
+def test_restored_reservation_replays_its_check_result():
+    source = SwitchCAC("sw")
+    source.configure_link("out", {0: 32})
+    original = source.reserve("vc", "in", "out", 0, stream(F(1, 4)))
+    target = SwitchCAC("sw2")
+    target.configure_link("out", {0: 32})
+    target.restore_state(source.snapshot_state())
+    # a re-delivered SETUP of the restored reservation is idempotent
+    replayed = target.reserve("vc", "in", "out", 0, stream(F(1, 4)))
+    assert replayed is not None and replayed.admitted
+    assert replayed.computed_bounds == original.computed_bounds
+    assert list(target.pending) == ["vc"]
+    target.commit("vc")
+    assert list(target.legs) == ["vc"]
+    assert target.verify_consistency()
+
+
+def test_restore_refuses_a_reservation_that_no_longer_passes():
+    target = SwitchCAC("sw")
+    target.configure_link("out", {0: 32})
+    snapshot = {
+        "committed": [Leg("vc0", "in", "out", 0, stream(F(3, 4)))],
+        "pending": [Leg("vc1", "in", "out", 0, stream(F(1, 2)))],
+    }
+    # together the legs overload in-link "in"
+    with pytest.raises(AdmissionError, match="'vc1' no longer passes"):
+        target.restore_state(snapshot)
+    assert list(target.legs) == ["vc0"]
+    assert not target.pending
+    assert target.verify_consistency()
+
+
 def test_restore_state_requires_empty_switch():
     switch = drive(SwitchCAC("sw"))
     with pytest.raises(AdmissionError, match="not empty"):
@@ -168,7 +200,9 @@ def test_out_links_and_priorities_are_sorted():
         switch.configure_link(link, {3: 96, 0: 32, 1: 64})
     assert switch.out_links() == ["out-a", "out-m", "out-z"]
     assert switch.priorities("out-z") == [0, 1, 3]
-    assert [(p.out_link, p.priority) for p in switch.store.ports()] == [
+    ports = [switch.port(link, priority) for link in switch.out_links()
+             for priority in switch.priorities(link)]
+    assert [(port.out_link, port.priority) for port in ports] == [
         (link, priority)
         for link in ["out-a", "out-m", "out-z"]
         for priority in [0, 1, 3]
@@ -176,12 +210,16 @@ def test_out_links_and_priorities_are_sorted():
 
 
 def test_clear_volatile_keeps_configuration():
-    store = AdmissionStore()
-    store.configure_link("out", {0: 32})
-    store.clear_volatile()
-    assert store.out_links() == ["out"]
-    assert store.priorities("out") == [0]
-    assert not store.committed() and not store.pending()
+    # a crash drops legs and aggregates, never the configured ports
+    switch = SwitchCAC("sw")
+    switch.configure_link("out", {0: 32})
+    switch.admit("vc0", "in-a", "out", 0, stream(F(1, 4)))
+    switch.crash()
+    assert switch.out_links() == ["out"]
+    assert switch.priorities("out") == [0]
+    assert switch.advertised_bound("out", 0) == 32
+    assert not switch.legs and not switch.pending
+    assert switch.port("out", 0).is_idle()
 
 
 def test_configure_link_refuses_priority_changes_on_a_live_link():
@@ -205,9 +243,9 @@ def test_configure_link_refuses_priority_changes_on_a_live_link():
 
 
 def test_unknown_port_raises_admission_error():
-    store = AdmissionStore()
-    store.configure_link("out", {0: 32})
-    with pytest.raises(AdmissionError):
-        store.port("out", 7)
-    with pytest.raises(AdmissionError):
-        store.port("nope", 0)
+    switch = SwitchCAC("sw")
+    switch.configure_link("out", {0: 32})
+    with pytest.raises(AdmissionError, match="no port for priority 7"):
+        switch.port("out", 7)
+    with pytest.raises(AdmissionError, match="no port"):
+        switch.port("nope", 0)

@@ -1,17 +1,22 @@
 """Journal semantics, crash/recover, and the double-release regression."""
 
+import hashlib
+import random
 from fractions import Fraction as F
 
 import pytest
 
 from repro.core.admission import NetworkCAC
 from repro.core.switch_cac import SwitchCAC
-from repro.core.traffic import cbr
+from repro.core.traffic import VBRParameters, cbr
 from repro.exceptions import AdmissionError, SwitchUnavailable
 from repro.network.connection import ConnectionRequest
 from repro.network.routing import shortest_path
 from repro.network.topology import line_network
 from repro.robustness.journal import AdmissionJournal, JournalEntry
+from repro.rtnet import build_rtnet
+from repro.workload import (ChurnEngine, TrafficClass, journal_digest_of,
+                            make_policy, opposite_pairs)
 
 
 def stream(rate):
@@ -215,3 +220,85 @@ class TestDoubleReleaseRegression:
         for switch in cac.switches().values():
             assert switch.legs == {}
             assert switch.verify_consistency()
+
+
+# ----------------------------------------------------------------------
+# Float recovery on churned multi-priority state
+# ----------------------------------------------------------------------
+
+#: Pinned hashes of the seed-5 run below (equal with the fast path on and
+#: off): a change to recovery, or to the order in which one delta patches
+#: the ports, that moves a single bit of any port or any later decision
+#: shows up here.
+FLOAT_RUN_HASH = (
+    "b120136804a81448b34807c0938928873a530e690b000089ba54f1027d8d2308")
+FLOAT_JOURNAL_DIGEST = (
+    "8d428893aca1fc3f126141b780deb6e99015162b8198308ab2a9b1dffc5dc332")
+
+
+def _hex(value):
+    return value.hex() if isinstance(value, float) else repr(value)
+
+
+def _stream_key(stream_):
+    return tuple(map(_hex, stream_.times)), tuple(map(_hex, stream_.rates))
+
+
+def state_hash(cac):
+    """A float.hex hash of every port and every switch's leg snapshot."""
+    hasher = hashlib.sha256()
+    for name, switch in sorted(cac.switches().items()):
+        for link in switch.out_links():
+            for priority in switch.priorities(link):
+                port = switch.port(link, priority)
+                hasher.update(repr((
+                    name, link, priority,
+                    _stream_key(switch.soa(link, priority)),
+                    _stream_key(switch.sof_higher(link, priority)),
+                    _hex(switch.computed_bound(link, priority)),
+                    tuple(_hex(x) for x in (
+                        port.own.burst, port.own.rate,
+                        port.higher.burst, port.higher.rate)),
+                )).encode())
+        snapshot = switch.snapshot_state()
+        hasher.update(repr(tuple(
+            (leg.connection_id, leg.in_link, leg.out_link, leg.priority,
+             _stream_key(leg.stream))
+            for kind in ("committed", "pending") for leg in snapshot[kind]
+        )).encode())
+    return hasher.hexdigest()
+
+
+def vbr_class(name, traffic, priority, load):
+    """A churn class offering ``load`` normalized bandwidth (holding 400)."""
+    return TrafficClass(name, traffic,
+                        arrival_rate=load / (traffic.scr * 400.0),
+                        mean_holding=400.0, priority=priority)
+
+
+@pytest.mark.parametrize("fast_path", [True, False],
+                         ids=["screened", "exact"])
+def test_float_recovery_is_bit_identical_on_churned_two_priority_state(
+        fast_path):
+    """Churn the two VBR classes of the benchmark's vbr-2prio workload;
+    after every 200 events crash and recover every switch, and demand
+    the same float.hex state hash before and after."""
+    network = build_rtnet(6, 2, bounds={0: 32.0, 1: 96.0}, dual_ring=True)
+    cac = NetworkCAC(network, rng=random.Random(5), fast_path=fast_path)
+    engine = ChurnEngine(
+        cac,
+        [vbr_class("ctl", VBRParameters(pcr=0.4, scr=0.04, mbs=8), 0, 0.3),
+         vbr_class("bulk", VBRParameters(pcr=0.5, scr=0.08, mbs=24), 1, 0.8)],
+        pairs=opposite_pairs(6, 2), seed=5,
+        policy=make_policy("k-alternate", 2))
+    run = hashlib.sha256()
+    for _ in range(3):
+        engine.run(max_events=200)
+        before = state_hash(cac)
+        for switch in cac.switches().values():
+            switch.crash()
+            switch.recover()
+        assert state_hash(cac) == before
+        run.update(before.encode())
+    assert run.hexdigest() == FLOAT_RUN_HASH
+    assert journal_digest_of(cac) == FLOAT_JOURNAL_DIGEST

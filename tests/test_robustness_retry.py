@@ -1,26 +1,42 @@
-"""Deterministic unit tests for the retry/backoff schedule."""
+"""Deterministic unit tests for the retry/backoff schedule and the
+signaling channel's retry loop that follows it."""
 
 import random
 
 import pytest
 
-from repro.exceptions import RetryExhausted
+from repro.exceptions import RetryExhausted, SignalingTimeout, SwitchRejection
+from repro.network.signaling import RetryEvent, SignalingChannel, SignalingTrace
 from repro.obs.clock import ManualClock
-from repro.robustness.retry import RetryPolicy, retry_call
+from repro.robustness.faults import DROP, FaultInjector, FaultPlan, FaultSpec
+from repro.robustness.retry import RetryPolicy
+
+HOP_TIMEOUT = 8.0
 
 
-class Flaky:
-    """Fails the first ``failures`` calls, then returns its call count."""
+def dropping_channel(drops, policy, seed=0, trace=None):
+    """A channel that loses the first ``drops`` reserve deliveries."""
+    injector = FaultInjector(FaultPlan(
+        [FaultSpec(DROP, phase="reserve", hop=0, count=drops)] if drops
+        else []))
+    return SignalingChannel(
+        injector=injector, retry_policy=policy, clock=ManualClock(),
+        rng=random.Random(seed), hop_timeout=HOP_TIMEOUT, trace=trace)
 
-    def __init__(self, failures):
-        self.failures = failures
+
+class Receiver:
+    """The receiving switch: counts deliveries, answers ``"ok"``."""
+
+    def __init__(self):
         self.calls = 0
 
-    def __call__(self, attempt):
+    def __call__(self):
         self.calls += 1
-        if self.calls <= self.failures:
-            raise TimeoutError(f"transient #{self.calls}")
-        return self.calls
+        return "ok"
+
+
+def deliver(channel, process):
+    return channel.deliver("reserve", 0, "sw0", "in", "vc", process)
 
 
 class TestManualClock:
@@ -67,71 +83,68 @@ class TestRetryPolicy:
 
 
 class TestRetryCall:
+    """One delivery through :meth:`SignalingChannel.deliver`, retried."""
+
     def test_succeeds_after_transient_failures(self):
-        clock = ManualClock()
-        flaky = Flaky(failures=2)
-        result = retry_call(
-            flaky, policy=RetryPolicy(max_attempts=4), clock=clock,
-            rng=random.Random(0), retry_on=(TimeoutError,),
-        )
-        assert result == 3
-        assert clock.now() > 0   # the backoffs advanced simulated time
+        channel = dropping_channel(2, RetryPolicy(max_attempts=4))
+        receiver = Receiver()
+        assert deliver(channel, receiver) == "ok"
+        assert receiver.calls == 1   # the dropped copies never arrived
+        assert channel.clock.now() > 0
 
     def test_clock_advances_by_exactly_the_drawn_backoffs(self):
-        clock = ManualClock()
         policy = RetryPolicy(max_attempts=4, base_delay=1.0, max_delay=30.0)
         draws = random.Random(11)
-        expected = [policy.backoff_delay(i, draws) for i in range(2)]
-        retry_call(
-            Flaky(failures=2), policy=policy, clock=clock,
-            rng=random.Random(11), retry_on=(TimeoutError,),
-        )
-        assert clock.now() == pytest.approx(sum(expected))
+        backoffs = [policy.backoff_delay(i, draws) for i in range(2)]
+        channel = dropping_channel(2, policy, seed=11)
+        deliver(channel, Receiver())
+        # each lost attempt costs one timeout, each resend one backoff
+        assert channel.clock.now() == pytest.approx(
+            2 * HOP_TIMEOUT + sum(backoffs))
 
     def test_exhaustion_raises_with_cause_chained(self):
-        with pytest.raises(RetryExhausted) as excinfo:
-            retry_call(
-                Flaky(failures=99), policy=RetryPolicy(max_attempts=3),
-                clock=ManualClock(), rng=random.Random(0),
-                retry_on=(TimeoutError,),
-            )
+        channel = dropping_channel(99, RetryPolicy(max_attempts=3))
+        receiver = Receiver()
+        with pytest.raises(SignalingTimeout) as excinfo:
+            deliver(channel, receiver)
         assert excinfo.value.attempts == 3
-        assert isinstance(excinfo.value.__cause__, TimeoutError)
+        assert isinstance(excinfo.value.__cause__, RetryExhausted)
+        assert excinfo.value.__cause__.attempts == 3
+        assert receiver.calls == 0
 
     def test_non_transient_errors_propagate_immediately(self):
+        trace = SignalingTrace()
+        channel = dropping_channel(0, RetryPolicy(max_attempts=4),
+                                   trace=trace)
         calls = []
 
-        def fatal(attempt):
-            calls.append(attempt)
-            raise ValueError("not transient")
+        def refuse():
+            calls.append(channel.clock.now())
+            raise SwitchRejection("sw0", "out", 0, 40.0, 32.0)
 
-        with pytest.raises(ValueError):
-            retry_call(fatal, retry_on=(TimeoutError,), clock=ManualClock())
-        assert calls == [0]
+        with pytest.raises(SwitchRejection):
+            deliver(channel, refuse)
+        assert calls == [0.0]   # a REJECT is a response: no retry
+        assert not trace.of_type(RetryEvent)
 
     def test_deadline_stops_early(self):
         # A zero deadline forbids any backoff: exactly one attempt runs.
-        flaky = Flaky(failures=99)
-        with pytest.raises(RetryExhausted) as excinfo:
-            retry_call(
-                flaky,
-                policy=RetryPolicy(max_attempts=10, base_delay=1.0,
-                                   deadline=0.0),
-                clock=ManualClock(), rng=random.Random(1),
-                retry_on=(TimeoutError,),
-            )
-        assert flaky.calls == 1
+        channel = dropping_channel(
+            99, RetryPolicy(max_attempts=10, base_delay=1.0, deadline=0.0),
+            seed=1)
+        with pytest.raises(SignalingTimeout) as excinfo:
+            deliver(channel, Receiver())
         assert excinfo.value.attempts == 1
+        assert len(channel.injector.injected) == 1
+        assert channel.clock.now() == HOP_TIMEOUT
 
     def test_on_retry_observes_every_resend(self):
-        seen = []
-        retry_call(
-            Flaky(failures=2), policy=RetryPolicy(max_attempts=4),
-            clock=ManualClock(), rng=random.Random(5),
-            retry_on=(TimeoutError,),
-            on_retry=lambda attempt, backoff, exc: seen.append(
-                (attempt, backoff, type(exc).__name__)),
-        )
-        assert [entry[0] for entry in seen] == [1, 2]
-        assert all(entry[2] == "TimeoutError" for entry in seen)
-        assert all(entry[1] >= 0 for entry in seen)
+        trace = SignalingTrace()
+        channel = dropping_channel(2, RetryPolicy(max_attempts=4), seed=5,
+                                   trace=trace)
+        deliver(channel, Receiver())
+        retries = trace.of_type(RetryEvent)
+        assert [event.attempt for event in retries] == [1, 2]
+        assert all(event.backoff >= 0 for event in retries)
+        assert all((event.connection, event.at_node, event.phase, event.hop)
+                   == ("vc", "sw0", "reserve", 0) for event in retries)
