@@ -36,6 +36,7 @@ from ..core.accumulation import CdvPolicy, make_policy
 from ..core.admission import NetworkCAC
 from ..core.bitstream import BitStream, Number, ZERO_STREAM, aggregate
 from ..core.delay_bound import delay_bound
+from ..core.traffic import VBRParameters
 from ..exceptions import TrafficModelError
 from ..network.connection import ConnectionRequest, EstablishedConnection
 from .constants import (
@@ -71,7 +72,8 @@ class RingAnalysis:
     ----------
     workload:
         ``(node, slot) -> (VBRParameters, priority)`` -- every
-        terminal's cyclic broadcast.
+        terminal's cyclic broadcast.  Every node must lie in
+        ``range(ring_nodes)``; :class:`TrafficModelError` otherwise.
     ring_nodes:
         Ring size ``R``; every broadcast traverses ``R - 1`` ring links.
     node_bound:
@@ -114,17 +116,30 @@ class RingAnalysis:
             ]
             for priority, bound in self.node_bounds.items()
         }
+        # Each terminal's delayed envelopes, indexed by upstream hops and
+        # filled on first use.  Terminals share a row when they share
+        # priority, descriptor and the descriptor's number types: equal
+        # values of one type build identical streams, but 0.25 and
+        # Fraction(1, 4) compare (and hash) equal and do not.
+        rows: Dict[tuple, List[Optional[BitStream]]] = {}
+        self._terminals: List[
+            Tuple[int, int, VBRParameters, int, List[Optional[BitStream]]]
+        ] = []
+        for (node, slot), (params, priority) in workload.items():
+            if not 0 <= node < ring_nodes:
+                raise TrafficModelError(
+                    f"workload references node {node} outside the "
+                    f"{ring_nodes}-node ring"
+                )
+            key = (priority, params, type(params.pcr), type(params.scr),
+                   type(params.mbs))
+            row = rows.setdefault(key, [None] * (ring_nodes - 1))
+            self._terminals.append((node, slot, params, priority, row))
         self._link_bounds: Dict[Tuple[int, int], Number] = {}
 
     # ------------------------------------------------------------------
     # Stream construction
     # ------------------------------------------------------------------
-
-    def _delayed_envelope(self, params, priority: int,
-                          hops_upstream: int) -> BitStream:
-        """A broadcast's arrival stream after the given upstream hops."""
-        return params.worst_case_stream().delayed(
-            self._cdv[priority][hops_upstream])
 
     def _input_aggregates(self, link: int, priority_filter) -> List[BitStream]:
         """Per-incoming-link aggregates feeding ring link ``link``.
@@ -138,18 +153,20 @@ class RingAnalysis:
         ring = self.ring_nodes
         locals_: Dict[int, List[BitStream]] = {}
         transit: List[BitStream] = []
-        for (node, slot), (params, priority) in self.workload.items():
+        for node, slot, params, priority, row in self._terminals:
             if not priority_filter(priority):
                 continue
             offset = (link - node) % ring
             if offset > ring - 2:
                 continue  # the broadcast never crosses this link
+            envelope = row[offset]
+            if envelope is None:
+                envelope = row[offset] = params.worst_case_stream().delayed(
+                    self._cdv[priority][offset])
             if offset == 0:
-                locals_.setdefault(slot, []).append(
-                    self._delayed_envelope(params, priority, 0))
+                locals_.setdefault(slot, []).append(envelope)
             else:
-                transit.append(
-                    self._delayed_envelope(params, priority, offset))
+                transit.append(envelope)
         aggregates = [aggregate(streams) for _slot, streams
                       in sorted(locals_.items())]
         if transit:
@@ -302,7 +319,7 @@ class DelayCurvePoint:
     """One point of Figure 10: load vs worst end-to-end delay bound."""
 
     load: float
-    delay_bound: float        # cell times; inf when not admissible
+    delay_bound: float        # cell times; finite even when not admissible
     admissible: bool
 
 
@@ -516,7 +533,6 @@ def vbr_workload(total_load: float, mbs_per_node: int,
         raise TrafficModelError(
             f"total load must be in (0, 1], got {total_load}"
         )
-    from ..core.traffic import VBRParameters
     share = total_load / ring_nodes
     params = VBRParameters(pcr=1, scr=share, mbs=max(1, mbs_per_node))
     return {(node, 0): (params, CYCLIC_PRIORITY)

@@ -1,8 +1,27 @@
 """The repro-eval command-line interface."""
 
+import hashlib
+
 import pytest
 
 from repro.cli import build_parser, main
+
+#: SHA-256 of each paper command's stdout at its default arguments.  A
+#: change to any printed number or to the table layout moves it.
+PAPER_ARTIFACTS = {
+    "table1":
+        "16eb118b311471ac08ffc88b8d029397230024d64f8db8232aec28c1d6476283",
+    "fig10":
+        "abad2428f912a032f65f03cad4ba8806ceb396cfbe42cbcfe6817e2c10b4f614",
+    "fig11":
+        "254b63e663287ae7b385d0a05060626412e9a6489e0964a77a5c47cfd3b68f9e",
+    "fig12":
+        "1177ee9cd8460f7d1938ce3ffc11e8ead4628510f76542f80160a88ba015de3e",
+    "fig13":
+        "e33a4c51e1d5edf0a78e86a51763624a5fad7ad5d6fd5a6fbd0d656307c085b6",
+    "vbr":
+        "dc3c86f7e25697a4ec2c0599d37e3b695c8f0a522e5157b782d39f3db22ba90c",
+}
 
 
 def run(capsys, *argv):
@@ -73,6 +92,12 @@ class TestCommands:
         out = run(capsys, "failover", "--terminals", "1",
                   "--ring-nodes", "8")
         assert "after_wrap" in out
+
+    @pytest.mark.parametrize("command", list(PAPER_ARTIFACTS))
+    def test_paper_artifact_is_byte_identical(self, capsys, command):
+        out = run(capsys, command)
+        digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
+        assert digest == PAPER_ARTIFACTS[command]
 
     def test_csv_mode_has_no_table_art(self, capsys):
         out = run(capsys, "--csv", "vbr", "--mbs", "1")

@@ -4,7 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from repro.core import NetworkCAC, SwitchCAC, cbr
+from repro.core import BitStream, NetworkCAC, SwitchCAC, cbr
 from repro.core.traffic import VBRParameters
 from repro.network import ConnectionRequest, shortest_path
 from repro.network.topology import line_network, star_network
@@ -117,6 +117,20 @@ class TestRingAnalysisCaching:
     def test_all_links_cover_the_ring(self):
         analysis = RingAnalysis(symmetric_workload(0.4, 5, 1), 5)
         assert len(analysis.all_link_bounds(0)) == 5
+
+    def test_terminals_share_delayed_envelopes(self, monkeypatch):
+        """256 equal broadcasts need one envelope per upstream hop count."""
+        calls = []
+        delayed = BitStream.delayed
+
+        def counting(stream, cdv):
+            calls.append(cdv)
+            return delayed(stream, cdv)
+
+        monkeypatch.setattr(BitStream, "delayed", counting)
+        analysis = RingAnalysis(symmetric_workload(0.35, 16, 16), 16)
+        analysis.worst_link_bound(0)
+        assert len(calls) <= analysis.ring_nodes - 1
 
 
 class TestSwitchSourceRoutes:

@@ -1,21 +1,27 @@
 """RingAnalysis correctness and the figure drivers (Section 5)."""
 
+import hashlib
 import math
+from dataclasses import astuple, is_dataclass
+from fractions import Fraction as F
 
 import pytest
 
-from repro.exceptions import AdmissionError
+from repro.core.traffic import cbr
+from repro.exceptions import AdmissionError, TrafficModelError
 from repro.rtnet import (
     RingAnalysis,
     asymmetric_capacity_curve,
     asymmetric_workload,
     broadcast_route,
     establish_workload,
+    failover_capacity_curve,
     priority_capacity_curve,
     ring_node,
     soft_hard_capacity_curve,
     symmetric_delay_curve,
     symmetric_workload,
+    vbr_capacity_curve,
 )
 
 
@@ -116,6 +122,101 @@ class TestRingAnalysisStructure:
         analysis = RingAnalysis(workload, 4, node_bound={0: 32, 1: 128})
         assert not analysis.interference_stream(1, 1).is_zero
         assert analysis.link_bound(1, 1) >= analysis.link_bound(1, 0)
+
+    @pytest.mark.parametrize("workload,ring_nodes,node", [
+        (symmetric_workload(0.4, 16, 1), 8, 8),
+        ({(-1, 0): (cbr(0.05), 0)}, 4, -1),
+    ], ids=["16-node-workload-on-8", "negative-node"])
+    def test_out_of_range_node_rejected(self, workload, ring_nodes, node):
+        """A node outside the ring is refused, not folded onto it."""
+        with pytest.raises(TrafficModelError, match=(
+                f"node {node} outside the {ring_nodes}-node ring")):
+            RingAnalysis(workload, ring_nodes)
+
+
+def _mixed_ring(float_first: bool):
+    """Equal rates as a float and as a Fraction on one 4-node ring."""
+    terminals = [((0, 0), cbr(F(1, 4))), ((1, 0), cbr(0.25)),
+                 ((2, 0), cbr(F(1, 7)))]
+    if float_first:
+        terminals.insert(0, terminals.pop(1))
+    analysis = RingAnalysis(
+        {terminal: (params, 0) for terminal, params in terminals}, 4)
+    return analysis.all_link_bounds(0) + [
+        analysis.e2e_bound(node, 0) for node in range(4)]
+
+
+def _two_priority_backlog():
+    workload = asymmetric_workload(
+        0.5, 0.5, 8, 4, hot_priority=1, other_priority=0)
+    analysis = RingAnalysis(workload, 8, node_bound={0: 32, 1: 128})
+    return [analysis.worst_link_backlog(0), analysis.worst_link_backlog(1),
+            *analysis.all_link_bounds(0), *analysis.all_link_bounds(1)]
+
+
+def _flat(rows):
+    """Curve rows (tuples or point dataclasses) as one list of numbers."""
+    return [value for row in rows
+            for value in (astuple(row) if is_dataclass(row) else row)]
+
+
+#: Short runs of every RingAnalysis path, each flattened to numbers.
+GOLDEN_CASES = {
+    "fig10-n16": lambda: _flat(symmetric_delay_curve(
+        [0.05, 0.35, 0.6, 0.95], terminals_per_node=16)),
+    "fig11-asymmetric": lambda: _flat(asymmetric_capacity_curve(
+        [0.0, 0.5, 0.9], terminals_per_node=4, ring_nodes=8,
+        tolerance=1 / 32)),
+    "fig12-two-priorities": lambda: _flat(priority_capacity_curve(
+        [0.5, 0.9], terminals_per_node=8, ring_nodes=8, tolerance=1 / 32)),
+    "fig13-soft-cdv": lambda: _flat(soft_hard_capacity_curve(
+        [0.0, 0.5], terminals_per_node=8, ring_nodes=8, tolerance=1 / 32)),
+    "vbr": lambda: _flat(vbr_capacity_curve(
+        [1, 16], ring_nodes=8, tolerance=1 / 32)),
+    "failover-wrapped": lambda: _flat(failover_capacity_curve(
+        [1, 4], ring_nodes=6, tolerance=1 / 32)),
+    "backlog-two-priorities": _two_priority_backlog,
+    "mixed-exact-first": lambda: _mixed_ring(float_first=False),
+    "mixed-float-first": lambda: _mixed_ring(float_first=True),
+}
+
+#: SHA-256 of each case's values as computed with one envelope per
+#: (link, terminal) pair; shared envelopes must reproduce them bit for bit.
+GOLDEN_DIGESTS = {
+    "backlog-two-priorities":
+        "fe3b2324702b4d09a513e68a35599e1f96beca830db68868d55a0ce7cb49ed95",
+    "failover-wrapped":
+        "79282ebca743ca3e279e1f6d3dcfe0495acc54265bbcc1d4d3bacc9908428277",
+    "fig10-n16":
+        "1db6d7986bd4161da6d3c21aaceef82137b05293ea0d536c63d5ff8a1206e81f",
+    "fig11-asymmetric":
+        "5a3a307bfb5af08554018a5403fbc258cb7d2adb46be141896429126d7de7030",
+    "fig12-two-priorities":
+        "755baf43ed347e6098bfdec733323cdeb65b7c9639df1e38791445e40d3eff8d",
+    "fig13-soft-cdv":
+        "94aad804d7dd488a5ab35f8e6f8819b05873162b61d1328a370cd0e8bc1b4b74",
+    "mixed-exact-first":
+        "4c31c30cf7116c90a513dc6385173daff567932a2fc097fbaeddaed2359baeff",
+    "mixed-float-first":
+        "4c31c30cf7116c90a513dc6385173daff567932a2fc097fbaeddaed2359baeff",
+    "vbr":
+        "5675f76896cb8b91625a81efd5b92c60d1fa6f62af52ad45a5b3378ea06e4c11",
+}
+
+
+def _golden_digest(values) -> str:
+    """Hash floats by ``float.hex`` and exact values by ``repr``."""
+    text = "\n".join(value.hex() if isinstance(value, float) else repr(value)
+                     for value in values)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+class TestRingAnalysisGolden:
+    """Every RingAnalysis path keeps its floats, bit for bit."""
+
+    @pytest.mark.parametrize("case", sorted(GOLDEN_CASES))
+    def test_values_match_recorded_digest(self, case):
+        assert _golden_digest(GOLDEN_CASES[case]()) == GOLDEN_DIGESTS[case]
 
 
 class TestFigure10Driver:
