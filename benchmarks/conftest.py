@@ -42,7 +42,6 @@ _ARTIFACT = pathlib.Path(__file__).parent / "BENCH_core_ops.json"
 #: this session are left untouched in the artifact (a partial run must
 #: never drop the other families' numbers).
 _RESULT_SECTIONS = {
-    "test_bench_parallel": "parallel",
     "test_bench_churn": "churn",
     "test_bench_setup_latency": "admission_plane",
     "test_bench_fast_path": "fast_path",

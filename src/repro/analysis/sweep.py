@@ -4,21 +4,13 @@ The figure drivers are hand-written sweeps; these helpers cover the
 ad-hoc exploration a user does around them ("how does the bound move if
 I vary the queue size and the load together?") without re-writing the
 two nested loops and the bookkeeping every time.
-
-Both sweeps accept ``jobs=`` to fan the grid out across worker
-processes (``0`` = every core); results are reassembled in sweep order,
-so a parallel sweep is bit-identical to the serial one.  Pass an
-existing :class:`~repro.parallel.ParallelExecutor` via ``executor=`` to
-reuse one worker pool across many sweeps.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, List, Optional, Sequence
+from typing import Any, Callable, List, Sequence
 
-from ..parallel import ParallelExecutor, parallel_map
-from ..parallel.executor import _StarCall
 from .report import render_table, to_csv
 
 __all__ = ["SweepResult", "sweep_1d", "sweep_2d"]
@@ -49,17 +41,13 @@ class SweepResult:
 
 
 def sweep_1d(fn: Callable[[Any], Any], values: Sequence[Any],
-             param: str = "x", result: str = "value",
-             jobs: int = 1,
-             executor: Optional[ParallelExecutor] = None) -> SweepResult:
+             param: str = "x", result: str = "value") -> SweepResult:
     """Evaluate ``fn`` over one parameter axis.
 
     >>> sweep_1d(lambda x: x * x, [1, 2, 3]).values()
     [1, 4, 9]
     """
-    values = list(values)
-    results = parallel_map(fn, values, jobs=jobs, executor=executor)
-    rows = [[value, outcome] for value, outcome in zip(values, results)]
+    rows = [[value, fn(value)] for value in values]
     return SweepResult([param, result], rows)
 
 
@@ -67,12 +55,7 @@ def sweep_2d(fn: Callable[[Any, Any], Any],
              first_values: Sequence[Any],
              second_values: Sequence[Any],
              first: str = "x", second: str = "y",
-             result: str = "value",
-             jobs: int = 1,
-             executor: Optional[ParallelExecutor] = None) -> SweepResult:
+             result: str = "value") -> SweepResult:
     """Evaluate ``fn`` over a two-parameter grid (row-major)."""
-    grid = [(a, b) for a in first_values for b in second_values]
-    results = parallel_map(_StarCall(fn), grid, jobs=jobs,
-                           executor=executor)
-    rows = [[a, b, outcome] for (a, b), outcome in zip(grid, results)]
+    rows = [[a, b, fn(a, b)] for a in first_values for b in second_values]
     return SweepResult([first, second, result], rows)

@@ -16,13 +16,14 @@ Installed as ``repro-eval`` (or run as ``python -m repro.cli``):
    repro-eval churn --loads 0.5 2 4 --policy k-alternate --seed 7
    repro-eval profile --events 800 --json   # where does admission time go?
    repro-eval --csv fig10          # machine-readable output
-   repro-eval --jobs 4 fig11       # fan scenarios across 4 worker processes
-   repro-eval --jobs 0 fig13       # ... or every available core
    repro-eval --version
 
 Randomized subcommands (``churn``, ``chaos``) take ``--seed`` (default
 0) and are bit-identically reproducible for a given seed; everything
-else is closed-form analysis and draws no randomness at all.
+else is closed-form analysis and draws no randomness at all.  An
+argument the traffic model or the topology rejects (``fig10
+--terminals 0``) ends in one ``repro-eval: error:`` line and exit
+status 2, like any other bad usage.
 
 Each subcommand prints the same rows the corresponding paper artifact
 reports (see EXPERIMENTS.md for the paper-vs-measured record).
@@ -36,6 +37,7 @@ from typing import List, Optional, Sequence
 
 from . import __version__
 from .analysis.report import render_table, to_csv
+from .exceptions import TopologyError, TrafficModelError
 from .rtnet import (
     TABLE_1,
     asymmetric_capacity_curve,
@@ -54,18 +56,6 @@ DEFAULT_LOADS = [round(0.05 * step, 2) for step in range(1, 20)]
 DEFAULT_FRACTIONS = [0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.95]
 
 
-def _jobs_argument(text: str) -> int:
-    """argparse type for ``--jobs``: non-negative int, 0 = all cores."""
-    try:
-        jobs = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"jobs must be an integer: {text!r}")
-    if jobs < 0:
-        raise argparse.ArgumentTypeError(
-            f"jobs must be >= 0 (0 = all cores), got {jobs}")
-    return jobs
-
-
 def build_parser() -> argparse.ArgumentParser:
     """The argparse command tree."""
     parser = argparse.ArgumentParser(
@@ -78,11 +68,6 @@ def build_parser() -> argparse.ArgumentParser:
                         version=f"%(prog)s {__version__}")
     parser.add_argument("--csv", action="store_true",
                         help="emit CSV instead of an aligned table")
-    parser.add_argument("--jobs", type=_jobs_argument, default=1,
-                        metavar="N",
-                        help="worker processes for independent scenarios "
-                             "(default 1 = serial; 0 = os.cpu_count(); "
-                             "results are bit-identical either way)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     sub.add_parser("table1", help="cyclic transmission classes")
@@ -249,8 +234,7 @@ def _run_table1(args) -> None:
 def _run_fig10(args) -> None:
     curves = {
         count: symmetric_delay_curve(args.loads, terminals_per_node=count,
-                                     ring_nodes=args.ring_nodes,
-                                     jobs=args.jobs)
+                                     ring_nodes=args.ring_nodes)
         for count in args.terminals
     }
     rows = []
@@ -269,8 +253,7 @@ def _run_fig11(args) -> None:
     curves = {
         count: asymmetric_capacity_curve(
             args.fractions, terminals_per_node=count,
-            ring_nodes=args.ring_nodes, tolerance=args.tolerance,
-            jobs=args.jobs)
+            ring_nodes=args.ring_nodes, tolerance=args.tolerance)
         for count in args.terminals
     }
     rows = [
@@ -287,8 +270,7 @@ def _run_fig12(args) -> None:
     for count in args.terminals:
         rows = priority_capacity_curve(
             args.fractions, terminals_per_node=count,
-            ring_nodes=args.ring_nodes, tolerance=args.tolerance,
-            jobs=args.jobs)
+            ring_nodes=args.ring_nodes, tolerance=args.tolerance)
         for fraction, single, dual in rows:
             rows_out.append([count, fraction, round(single, 3),
                              round(dual, 3)])
@@ -301,8 +283,7 @@ def _run_fig13(args) -> None:
     for count in args.terminals:
         rows = soft_hard_capacity_curve(
             args.fractions, terminals_per_node=count,
-            ring_nodes=args.ring_nodes, tolerance=args.tolerance,
-            jobs=args.jobs)
+            ring_nodes=args.ring_nodes, tolerance=args.tolerance)
         for fraction, hard, soft in rows:
             rows_out.append([count, fraction, round(hard, 3),
                              round(soft, 3)])
@@ -314,8 +295,7 @@ def _run_vbr(args) -> None:
     rows = [
         [mbs, round(load, 3)]
         for mbs, load in vbr_capacity_curve(args.mbs,
-                                            ring_nodes=args.ring_nodes,
-                                            jobs=args.jobs)
+                                            ring_nodes=args.ring_nodes)
     ]
     _emit(args, ["mbs_per_node", "max_load"], rows,
           "VBR feasibility: per-node burst allowance vs supportable load")
@@ -325,7 +305,7 @@ def _run_failover(args) -> None:
     rows = [
         [count, round(healthy, 3), round(wrapped, 3)]
         for count, healthy, wrapped in failover_capacity_curve(
-            args.terminals, ring_nodes=args.ring_nodes, jobs=args.jobs)
+            args.terminals, ring_nodes=args.ring_nodes)
     ]
     _emit(args, ["terminals", "healthy", "after_wrap"], rows,
           "Failover: capacity before/after a single ring failure")
@@ -420,8 +400,7 @@ def _run_churn(args) -> None:
         reservation_ttl=args.reservation_ttl,
     )
     points = blocking_curve(args.loads, scenario,
-                            replications=args.replications,
-                            jobs=args.jobs)
+                            replications=args.replications)
     if args.json:
         print(json.dumps({
             "topology": args.topology,
@@ -542,8 +521,12 @@ _RUNNERS = {
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """Entry point; returns a process exit code."""
-    args = build_parser().parse_args(argv)
-    _RUNNERS[args.command](args)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    try:
+        _RUNNERS[args.command](args)
+    except (TrafficModelError, TopologyError) as error:
+        parser.error(str(error))
     return 0
 
 

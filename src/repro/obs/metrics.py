@@ -375,56 +375,6 @@ class MetricsRegistry:
             snap[name] = family
         return snap
 
-    def merge_snapshot(self, samples: Iterable[Mapping[str, object]]) -> None:
-        """Fold another registry's :meth:`samples` into this one.
-
-        The merge discipline (what a multi-process fan-out needs --
-        worker registries are serialized as plain-data sample records
-        and folded back into the parent):
-
-        * **counters** add -- work done anywhere is work done;
-        * **gauges** keep the maximum -- the library's gauges are
-          worst-seen trackers (``sim_worst_e2e_delay``) or progress
-          high-water marks, for which max is the meaningful union;
-        * **histograms** merge bucket-by-bucket (counts, sum and count
-          add); the bucket layouts must match exactly or the merge
-          raises :class:`ValueError`.
-
-        Kind conflicts (a worker counter colliding with a local gauge of
-        the same name) raise, exactly as direct registration would.
-        """
-        for record in samples:
-            name = str(record["name"])
-            kind = record["kind"]
-            labels: Mapping[str, object] = record.get("labels") or {}
-            if kind == "counter":
-                self.counter(name, **labels).inc(record["value"])
-            elif kind == "gauge":
-                self.gauge(name, **labels).set_max(record["value"])
-            elif kind == "histogram":
-                self._merge_histogram(name, labels, record)
-            else:
-                raise ValueError(f"unknown instrument kind {kind!r}")
-
-    def _merge_histogram(self, name: str, labels: Mapping[str, object],
-                         record: Mapping[str, object]) -> None:
-        buckets = record["buckets"]  # [[edge-or-"+Inf", cumulative], ...]
-        bounds = tuple(
-            float(edge) for edge, _total in buckets if edge != "+Inf"
-        )
-        histogram = self.histogram(name, buckets=bounds or None, **labels)
-        if histogram.bounds != (bounds or LATENCY_BUCKETS):
-            raise ValueError(
-                f"histogram {name!r} bucket layout mismatch: "
-                f"{histogram.bounds} vs {bounds}"
-            )
-        previous = 0
-        for index, (_edge, total) in enumerate(buckets):
-            histogram.bucket_counts[index] += int(total) - previous
-            previous = int(total)
-        histogram.count += int(record["count"])
-        histogram.sum += float(record["sum"])
-
     def value(self, name: str, **labels: object) -> float:
         """Current value of one counter/gauge (0 when never touched)."""
         instrument = self._instruments.get((name, _label_key(labels)))
@@ -503,10 +453,6 @@ class NullRegistry:
 
     def snapshot(self) -> Dict[str, Dict[str, object]]:
         return {}
-
-    def merge_snapshot(self,
-                       samples: Iterable[Mapping[str, object]]) -> None:
-        pass
 
     def value(self, name: str, **labels: object) -> float:
         return 0

@@ -75,7 +75,6 @@ _HARNESS_EXPORTS = (
     "ScheduleReport",
     "random_fault_plan",
     "run_schedule",
-    "run_schedules",
     "committed_states_equal",
 )
 
@@ -128,6 +127,5 @@ __all__ = [
     "ScheduleReport",
     "random_fault_plan",
     "run_schedule",
-    "run_schedules",
     "committed_states_equal",
 ]

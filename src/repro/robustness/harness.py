@@ -16,7 +16,6 @@ stress job run hundreds of them with fixed seeds.
 
 from __future__ import annotations
 
-import functools
 import random
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
@@ -26,7 +25,6 @@ from ..exceptions import AdmissionError
 from ..network.connection import ConnectionRequest
 from ..network.signaling import SignalingTrace
 from ..network.topology import Network
-from ..parallel import ParallelExecutor, parallel_map
 from .faults import (
     CRASH,
     DELAY,
@@ -47,13 +45,12 @@ __all__ = [
     "random_fault_plan",
     "random_link_failures",
     "run_schedule",
-    "run_schedules",
     "committed_states_equal",
 ]
 
 #: Per-switch journal digest: ``(switch, ((op, connection_id), ...))``
-#: rows in sorted switch order -- a picklable fingerprint of the exact
-#: op-for-op journal each switch wrote during the schedule.
+#: rows in sorted switch order -- a fingerprint of the exact op-for-op
+#: journal each switch wrote during the schedule.
 JournalDigest = Tuple[Tuple[str, Tuple[Tuple[str, str], ...]], ...]
 
 #: Drops are the common failure; crashes and link failures are rare but
@@ -164,7 +161,7 @@ class ScheduleReport:
     equivalent: bool
     trace: SignalingTrace
     #: Exact per-switch journal op sequences (see :data:`JournalDigest`);
-    #: what the parallel-equivalence CI job compares against serial runs.
+    #: two runs of one seed must write the same ones.
     journals: JournalDigest = field(default=())
     #: Mid-workload link failures injected (empty without
     #: ``link_failures``), and the per-victim outcomes they produced.
@@ -354,42 +351,3 @@ def run_schedule(seed: int,
         booking_safe=booking_safe,
     )
 
-
-def run_schedules(seeds: Iterable[int],
-                  network_factory: Callable[[], Network],
-                  request_factory: Callable[[Network],
-                                            Iterable[ConnectionRequest]],
-                  retry_policy: Optional[RetryPolicy] = None,
-                  hop_timeout: float = 8.0,
-                  max_faults: int = 4,
-                  link_failures: int = 0,
-                  fast_path: Optional[bool] = None,
-                  jobs: int = 1,
-                  executor: Optional[ParallelExecutor] = None,
-                  ) -> List[ScheduleReport]:
-    """Run many seeded schedules, optionally fanned across processes.
-
-    Every schedule is an independent, fully seeded unit of work (its
-    own RNG, its own fresh topology), so batching them across workers
-    changes nothing about any individual run: the returned reports --
-    fault plans, established sets, signalling traces *and the per-switch
-    journal digests* -- are bit-identical to calling
-    :func:`run_schedule` serially over the same seeds, in seed order.
-    The property suite asserts exactly this equivalence.
-
-    ``jobs=0`` uses every available core; pass ``executor=`` to reuse a
-    live worker pool.  Both factories must be picklable (module-level
-    functions) for the parallel path; unpicklable factories degrade to
-    the serial loop with identical results.
-    """
-    task = functools.partial(
-        run_schedule,
-        network_factory=network_factory,
-        request_factory=request_factory,
-        retry_policy=retry_policy,
-        hop_timeout=hop_timeout,
-        max_faults=max_faults,
-        link_failures=link_failures,
-        fast_path=fast_path,
-    )
-    return parallel_map(task, list(seeds), jobs=jobs, executor=executor)

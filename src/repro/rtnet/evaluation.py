@@ -26,12 +26,10 @@ rows; rendering lives in :mod:`repro.analysis.report`.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from ..analysis.capacity import max_feasible_load
-from ..parallel import ParallelExecutor, parallel_map
 from ..core.accumulation import CdvPolicy, make_policy
 from ..core.admission import NetworkCAC
 from ..core.bitstream import BitStream, Number, ZERO_STREAM, aggregate
@@ -50,6 +48,7 @@ from .topology import broadcast_route, build_rtnet, terminal_name
 from .workloads import (
     TrafficAssignment,
     asymmetric_workload,
+    check_ring_load,
     symmetric_workload,
 )
 
@@ -326,7 +325,7 @@ class DelayCurvePoint:
 def _symmetric_point(load: float, terminals_per_node: int,
                      ring_nodes: int, node_bound: Number,
                      cdv_policy: Union[str, CdvPolicy]) -> DelayCurvePoint:
-    """One Figure 10 point; module-level so it fans out to workers."""
+    """One Figure 10 point."""
     workload = symmetric_workload(load, ring_nodes, terminals_per_node)
     analysis = RingAnalysis(workload, ring_nodes, node_bound, cdv_policy)
     worst_link = analysis.worst_link_bound(CYCLIC_PRIORITY)
@@ -344,8 +343,6 @@ def symmetric_delay_curve(loads: Sequence[float],
                           ring_nodes: int = RING_NODES,
                           node_bound: Number = NODE_DELAY_BOUND,
                           cdv_policy: Union[str, CdvPolicy] = "hard",
-                          jobs: int = 1,
-                          executor: Optional[ParallelExecutor] = None,
                           ) -> List[DelayCurvePoint]:
     """Figure 10: end-to-end delay bound vs total symmetric load.
 
@@ -354,17 +351,10 @@ def symmetric_delay_curve(loads: Sequence[float],
     nodes.  A point is inadmissible when some link bound exceeds the
     advertised node bound (the CAC would refuse the set) -- the curve
     the paper plots ends there.
-
-    Each load point is an independent closed-form analysis, so
-    ``jobs > 1`` dispatches them across worker processes; the returned
-    list is bit-identical to the serial evaluation (``jobs=0`` = all
-    cores).
     """
-    task = functools.partial(
-        _symmetric_point, terminals_per_node=terminals_per_node,
-        ring_nodes=ring_nodes, node_bound=node_bound,
-        cdv_policy=cdv_policy)
-    return parallel_map(task, list(loads), jobs=jobs, executor=executor)
+    return [_symmetric_point(load, terminals_per_node, ring_nodes,
+                             node_bound, cdv_policy)
+            for load in loads]
 
 
 def _asymmetric_feasible(load: float, hot_fraction: float,
@@ -377,14 +367,9 @@ def _asymmetric_feasible(load: float, hot_fraction: float,
                          e2e_requirements: Optional[Mapping[int, Number]] = None,
                          ) -> bool:
     """Is an asymmetric workload of this total load fully supportable?"""
-    try:
-        workload = asymmetric_workload(
-            load, hot_fraction, ring_nodes, terminals_per_node,
-            hot_priority=hot_priority, other_priority=other_priority)
-    except TrafficModelError:
-        return False
-    if not workload:
-        return True
+    workload = asymmetric_workload(
+        load, hot_fraction, ring_nodes, terminals_per_node,
+        hot_priority=hot_priority, other_priority=other_priority)
     analysis = RingAnalysis(workload, ring_nodes, node_bound, cdv_policy)
     requirements = e2e_requirements
     if requirements is None:
@@ -407,7 +392,7 @@ def _asymmetric_capacity_point(fraction: float, terminals_per_node: int,
                                cdv_policy: Union[str, CdvPolicy],
                                e2e_requirement: Number,
                                tolerance: float) -> CapacityCurvePoint:
-    """One Figure 11 bisection; module-level so it fans out to workers."""
+    """One Figure 11 bisection."""
     best = max_feasible_load(
         lambda load: _asymmetric_feasible(
             load, fraction, ring_nodes, terminals_per_node,
@@ -424,8 +409,6 @@ def asymmetric_capacity_curve(hot_fractions: Sequence[float],
                               cdv_policy: Union[str, CdvPolicy] = "hard",
                               e2e_requirement: Number = None,
                               tolerance: float = 1 / 128,
-                              jobs: int = 1,
-                              executor: Optional[ParallelExecutor] = None,
                               ) -> List[CapacityCurvePoint]:
     """Figure 11: max supportable total load vs asymmetry ``p``.
 
@@ -433,19 +416,13 @@ def asymmetric_capacity_curve(hot_fractions: Sequence[float],
     asymmetric workload keeps every link bound within the node bound
     and every broadcast's end-to-end bound within the requirement
     (default: the 1 ms high-speed deadline, about 370 cell times).
-
-    Each fraction's bisection is independent; ``jobs > 1`` fans them
-    across worker processes with bit-identical results.
     """
     if e2e_requirement is None:
         e2e_requirement = HIGH_SPEED_DELAY_CELLS
-    task = functools.partial(
-        _asymmetric_capacity_point,
-        terminals_per_node=terminals_per_node, ring_nodes=ring_nodes,
-        node_bound=node_bound, cdv_policy=cdv_policy,
-        e2e_requirement=e2e_requirement, tolerance=tolerance)
-    return parallel_map(task, list(hot_fractions), jobs=jobs,
-                        executor=executor)
+    return [_asymmetric_capacity_point(fraction, terminals_per_node,
+                                       ring_nodes, node_bound, cdv_policy,
+                                       e2e_requirement, tolerance)
+            for fraction in hot_fractions]
 
 
 def priority_capacity_curve(hot_fractions: Sequence[float],
@@ -456,8 +433,6 @@ def priority_capacity_curve(hot_fractions: Sequence[float],
                             low_e2e_requirement: Number = None,
                             e2e_requirement: Number = None,
                             tolerance: float = 1 / 128,
-                            jobs: int = 1,
-                            executor: Optional[ParallelExecutor] = None,
                             ) -> List[Tuple[float, float, float]]:
     """Figure 12: one vs two priority levels on the asymmetric workload.
 
@@ -480,14 +455,10 @@ def priority_capacity_curve(hot_fractions: Sequence[float],
         low_queue_bound = node_bound * max(4, terminals_per_node)
     if low_e2e_requirement is None:
         low_e2e_requirement = e2e_requirement * 30   # the 30 ms class
-    task = functools.partial(
-        _priority_point, terminals_per_node=terminals_per_node,
-        ring_nodes=ring_nodes, node_bound=node_bound,
-        low_queue_bound=low_queue_bound,
-        low_e2e_requirement=low_e2e_requirement,
-        e2e_requirement=e2e_requirement, tolerance=tolerance)
-    return parallel_map(task, list(hot_fractions), jobs=jobs,
-                        executor=executor)
+    return [_priority_point(fraction, terminals_per_node, ring_nodes,
+                            node_bound, low_queue_bound,
+                            low_e2e_requirement, e2e_requirement, tolerance)
+            for fraction in hot_fractions]
 
 
 def _priority_point(fraction: float, terminals_per_node: int,
@@ -495,7 +466,7 @@ def _priority_point(fraction: float, terminals_per_node: int,
                     low_queue_bound: Number, low_e2e_requirement: Number,
                     e2e_requirement: Number,
                     tolerance: float) -> Tuple[float, float, float]:
-    """One Figure 12 row (two bisections); fans out to workers."""
+    """One Figure 12 row (two bisections)."""
     single = max_feasible_load(
         lambda load: _asymmetric_feasible(
             load, fraction, ring_nodes, terminals_per_node,
@@ -529,12 +500,13 @@ def vbr_workload(total_load: float, mbs_per_node: int,
     at the link rate once carried on one link) and whose ``SCR`` is the
     node's share of the total load.
     """
-    if not 0 < total_load <= 1:
+    check_ring_load(total_load, ring_nodes, 1)
+    if mbs_per_node < 1:
         raise TrafficModelError(
-            f"total load must be in (0, 1], got {total_load}"
+            f"per-node MBS must be at least 1, got {mbs_per_node}"
         )
     share = total_load / ring_nodes
-    params = VBRParameters(pcr=1, scr=share, mbs=max(1, mbs_per_node))
+    params = VBRParameters(pcr=1, scr=share, mbs=mbs_per_node)
     return {(node, 0): (params, CYCLIC_PRIORITY)
             for node in range(ring_nodes)}
 
@@ -542,13 +514,10 @@ def vbr_workload(total_load: float, mbs_per_node: int,
 def _vbr_point(mbs: int, ring_nodes: int, node_bound: Number,
                e2e_requirement: Number,
                tolerance: float) -> Tuple[int, float]:
-    """One VBR-feasibility bisection; module-level for worker fan-out."""
+    """One VBR-feasibility bisection."""
     def feasible(load: float) -> bool:
-        try:
-            workload = vbr_workload(load, mbs, ring_nodes)
-        except TrafficModelError:
-            return False
-        analysis = RingAnalysis(workload, ring_nodes, node_bound, "hard")
+        analysis = RingAnalysis(vbr_workload(load, mbs, ring_nodes),
+                                ring_nodes, node_bound, "hard")
         return analysis.feasible(
             e2e_requirements={CYCLIC_PRIORITY: e2e_requirement})
 
@@ -560,8 +529,6 @@ def vbr_capacity_curve(mbs_values: Sequence[int],
                        node_bound: Number = NODE_DELAY_BOUND,
                        e2e_requirement: Number = None,
                        tolerance: float = 1 / 128,
-                       jobs: int = 1,
-                       executor: Optional[ParallelExecutor] = None,
                        ) -> List[Tuple[int, float]]:
     """Max supportable VBR load vs per-node burst allowance.
 
@@ -574,18 +541,16 @@ def vbr_capacity_curve(mbs_values: Sequence[int],
     """
     if e2e_requirement is None:
         e2e_requirement = HIGH_SPEED_DELAY_CELLS
-    task = functools.partial(
-        _vbr_point, ring_nodes=ring_nodes, node_bound=node_bound,
-        e2e_requirement=e2e_requirement, tolerance=tolerance)
-    return parallel_map(task, list(mbs_values), jobs=jobs,
-                        executor=executor)
+    return [_vbr_point(mbs, ring_nodes, node_bound, e2e_requirement,
+                       tolerance)
+            for mbs in mbs_values]
 
 
 def _soft_hard_point(fraction: float, terminals_per_node: int,
                      ring_nodes: int, node_bound: Number,
                      e2e_requirement: Number,
                      tolerance: float) -> Tuple[float, float, float]:
-    """One Figure 13 row (hard + soft bisections); fans out to workers."""
+    """One Figure 13 row (hard + soft bisections)."""
     hard = max_feasible_load(
         lambda load: _asymmetric_feasible(
             load, fraction, ring_nodes, terminals_per_node,
@@ -607,21 +572,14 @@ def soft_hard_capacity_curve(hot_fractions: Sequence[float],
                              node_bound: Number = NODE_DELAY_BOUND,
                              e2e_requirement: Number = None,
                              tolerance: float = 1 / 128,
-                             jobs: int = 1,
-                             executor: Optional[ParallelExecutor] = None,
                              ) -> List[Tuple[float, float, float]]:
     """Figure 13: hard vs soft CDV accumulation on the asymmetric load.
 
     Returns ``(p, max_load_hard, max_load_soft)`` rows; the soft scheme
-    assumes less clumping and therefore admits at least as much.  Rows
-    are independent: ``jobs > 1`` fans them across worker processes
-    with bit-identical results.
+    assumes less clumping and therefore admits at least as much.
     """
     if e2e_requirement is None:
         e2e_requirement = HIGH_SPEED_DELAY_CELLS
-    task = functools.partial(
-        _soft_hard_point, terminals_per_node=terminals_per_node,
-        ring_nodes=ring_nodes, node_bound=node_bound,
-        e2e_requirement=e2e_requirement, tolerance=tolerance)
-    return parallel_map(task, list(hot_fractions), jobs=jobs,
-                        executor=executor)
+    return [_soft_hard_point(fraction, terminals_per_node, ring_nodes,
+                             node_bound, e2e_requirement, tolerance)
+            for fraction in hot_fractions]

@@ -35,7 +35,7 @@ from typing import (
 
 from ..analysis.capacity import max_feasible_load
 from ..core.bitstream import Number
-from ..exceptions import AdmissionError, TrafficModelError
+from ..exceptions import AdmissionError, TopologyError, TrafficModelError
 
 if TYPE_CHECKING:  # pragma: no cover - type-only import, avoids a cycle
     from ..core.admission import NetworkCAC
@@ -91,7 +91,7 @@ def evacuate_switch(cac: "NetworkCAC",
 def wrapped_ring_size(ring_nodes: int) -> int:
     """Queueing points on the healed logical ring after one failure."""
     if ring_nodes < 3:
-        raise ValueError(
+        raise TopologyError(
             f"a wrappable ring needs at least 3 nodes, got {ring_nodes}"
         )
     return 2 * ring_nodes - 2
@@ -145,22 +145,14 @@ def failover_capacity(terminals_per_node: int,
         e2e_requirement = HIGH_SPEED_DELAY_CELLS
 
     def healthy_feasible(load: float) -> bool:
-        try:
-            workload = symmetric_workload(load, ring_nodes,
-                                          terminals_per_node)
-        except TrafficModelError:
-            return False
+        workload = symmetric_workload(load, ring_nodes, terminals_per_node)
         analysis = RingAnalysis(workload, ring_nodes, node_bound,
                                 cdv_policy)
         return analysis.feasible(
             e2e_requirements={CYCLIC_PRIORITY: e2e_requirement})
 
     def wrapped_feasible(load: float) -> bool:
-        try:
-            workload = symmetric_workload(load, ring_nodes,
-                                          terminals_per_node)
-        except TrafficModelError:
-            return False
+        workload = symmetric_workload(load, ring_nodes, terminals_per_node)
         analysis = wrapped_analysis(workload, ring_nodes, node_bound,
                                     cdv_policy)
         return analysis.feasible(
@@ -171,29 +163,14 @@ def failover_capacity(terminals_per_node: int,
     return healthy, wrapped
 
 
-def _failover_row(count: int, ring_nodes: int,
-                  tolerance: float) -> Tuple[int, float, float]:
-    """One curve row; module-level so it can fan out to workers."""
-    return (count, *failover_capacity(count, ring_nodes,
-                                      tolerance=tolerance))
-
-
 def failover_capacity_curve(terminal_counts: Sequence[int],
                             ring_nodes: int = RING_NODES,
                             tolerance: float = 1 / 128,
-                            jobs: int = 1,
                             ) -> List[Tuple[int, float, float]]:
-    """``(N, healthy, wrapped)`` rows across terminal counts.
-
-    Rows are independent bisection pairs; ``jobs > 1`` fans them across
-    worker processes with bit-identical results.
-    """
-    import functools
-
-    from ..parallel import parallel_map
-    task = functools.partial(_failover_row, ring_nodes=ring_nodes,
-                             tolerance=tolerance)
-    return parallel_map(task, list(terminal_counts), jobs=jobs)
+    """``(N, healthy, wrapped)`` rows across terminal counts."""
+    return [(count, *failover_capacity(count, ring_nodes,
+                                       tolerance=tolerance))
+            for count in terminal_counts]
 
 
 @dataclass

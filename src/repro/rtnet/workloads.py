@@ -33,6 +33,20 @@ __all__ = [
 TrafficAssignment = Dict[Tuple[int, int], Tuple[VBRParameters, int]]
 
 
+def check_ring_load(total_load: float, ring_nodes: int,
+                    terminals_per_node: int) -> None:
+    """Refuse a total load outside (0, 1] or a ring without terminals."""
+    if not 0 < total_load <= 1:
+        raise TrafficModelError(
+            f"total load must be in (0, 1], got {total_load}"
+        )
+    if ring_nodes < 1 or terminals_per_node < 1:
+        raise TrafficModelError(
+            f"need at least one ring node and one terminal per node, got "
+            f"{ring_nodes} nodes x {terminals_per_node} terminals"
+        )
+
+
 def symmetric_workload(total_load: float, ring_nodes: int,
                        terminals_per_node: int,
                        priority: int = CYCLIC_PRIORITY) -> TrafficAssignment:
@@ -42,12 +56,8 @@ def symmetric_workload(total_load: float, ring_nodes: int,
     the ``ring_nodes * terminals_per_node`` terminals gets a CBR
     connection with ``PCR = B / (ring_nodes * terminals_per_node)``.
     """
-    count = ring_nodes * terminals_per_node
-    if not 0 < total_load <= 1:
-        raise TrafficModelError(
-            f"total load must be in (0, 1], got {total_load}"
-        )
-    share = total_load / count
+    check_ring_load(total_load, ring_nodes, terminals_per_node)
+    share = total_load / (ring_nodes * terminals_per_node)
     return {
         (node, slot): (cbr(share), priority)
         for node in range(ring_nodes)
@@ -102,19 +112,21 @@ def asymmetric_workload(total_load: float, hot_fraction: float,
     The remaining terminals split ``(1 - hot_fraction) * total_load``
     equally.  ``hot_fraction`` of 0 degenerates to (almost) the
     symmetric pattern; 1 concentrates everything on the hot terminal.
-    Raises :class:`TrafficModelError` when any single terminal would
-    need a rate above the link rate -- callers doing capacity searches
-    treat that as infeasible.
+    Raises :class:`TrafficModelError` for a load outside (0, 1], a
+    fraction outside [0, 1], an empty ring, or a hot terminal that is
+    not on the ring.
     """
-    count = ring_nodes * terminals_per_node
-    if not 0 < total_load <= 1:
-        raise TrafficModelError(
-            f"total load must be in (0, 1], got {total_load}"
-        )
+    check_ring_load(total_load, ring_nodes, terminals_per_node)
     if not 0 <= hot_fraction <= 1:
         raise TrafficModelError(
             f"hot fraction must be in [0, 1], got {hot_fraction}"
         )
+    if not (0 <= hot_node < ring_nodes and 0 <= hot_slot < terminals_per_node):
+        raise TrafficModelError(
+            f"hot terminal ({hot_node}, {hot_slot}) is off the ring: "
+            f"need node < {ring_nodes} and slot < {terminals_per_node}"
+        )
+    count = ring_nodes * terminals_per_node
     hot_rate = total_load * hot_fraction
     if count > 1:
         other_rate = total_load * (1 - hot_fraction) / (count - 1)

@@ -6,9 +6,9 @@ Poisson processes, hold for exponential times and depart, while the CAC
 admits or refuses in steady state.  Three pieces:
 
 * :mod:`~repro.workload.churn` -- the deterministic
-  :class:`~repro.workload.churn.ChurnEngine` plus the picklable
-  :class:`~repro.workload.churn.ChurnScenario` /
-  :func:`~repro.workload.churn.blocking_curve` fan-out recipes;
+  :class:`~repro.workload.churn.ChurnEngine` plus the
+  :class:`~repro.workload.churn.ChurnScenario` recipe and the
+  :func:`~repro.workload.churn.blocking_curve` sweep over it;
 * :mod:`~repro.workload.policies` -- pluggable route-selection
   strategies (first-path, k-alternate crankback, least-loaded);
 * :mod:`~repro.workload.stats` -- blocking probability, carried vs
@@ -16,7 +16,7 @@ admits or refuses in steady state.  Three pieces:
   confidence intervals.
 
 See ``docs/architecture.md`` ("Dynamic workloads") for how the pieces
-compose with the parallel executor and the survivability layer.
+compose with the survivability layer.
 """
 
 from .churn import (

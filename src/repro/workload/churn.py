@@ -12,9 +12,7 @@ deterministically:
   ``random.Random(seed)`` -- no wall clock anywhere;
 * events run on the deterministic
   :class:`~repro.sim.engine.Engine` heap, so two runs with the same
-  seed produce bit-identical ledgers, and runs fanned across worker
-  processes (:func:`blocking_curve` with ``jobs=N``) reassemble
-  bit-identically to the serial loop;
+  seed produce bit-identical ledgers;
 * every admission attempt goes through the real
   :meth:`~repro.core.admission.NetworkCAC.setup` /
   :meth:`~repro.core.admission.NetworkCAC.teardown` two-phase walks,
@@ -27,8 +25,8 @@ deterministically:
 * the run obeys a **hard event budget** (arrivals + departures fired)
   and the analytics trim a **warm-up** prefix before measuring.
 
-The module-level :class:`ChurnScenario` / :func:`run_scenario` pair is
-the picklable recipe the replication fan-out and the CLI share.
+The :class:`ChurnScenario` / :func:`run_scenario` pair is the recipe
+:func:`blocking_curve`, the CLI and the benchmark share.
 """
 
 from __future__ import annotations
@@ -47,7 +45,6 @@ from ..network.connection import ConnectionRequest
 from ..network.topology import Network, star_network
 from ..obs import events as _oe
 from ..obs import metrics as _om
-from ..parallel import ParallelExecutor, parallel_map
 from ..robustness.faults import FaultInjector, FaultPlan
 from ..rtnet.topology import build_rtnet, terminal_name
 from ..sim.engine import Engine, EventHandle
@@ -105,7 +102,7 @@ class TrafficClass:
 
 @dataclass(frozen=True)
 class ChurnRecord:
-    """One ledger row -- plain data, picklable, digest-stable.
+    """One ledger row -- plain data, digest-stable.
 
     ``kind`` is ``"arrival"``, ``"departure"`` or ``"link-fail"`` /
     ``"link-restore"``; ``outcome`` refines it (``admitted``/``blocked``,
@@ -541,7 +538,7 @@ class ChurnEngine:
 
 
 # ----------------------------------------------------------------------
-# Picklable scenarios and the replication fan-out
+# Scenarios and blocking curves
 # ----------------------------------------------------------------------
 
 
@@ -570,7 +567,7 @@ def opposite_pairs(ring_nodes: int,
 
 @dataclass(frozen=True)
 class ChurnScenario:
-    """A picklable churn recipe: topology + traffic + run parameters.
+    """A churn recipe: topology + traffic + run parameters.
 
     ``offered_load`` is the target mean *bandwidth* demand (normalized
     to the link rate) the arrival process offers:
@@ -641,12 +638,11 @@ class ChurnScenario:
 
 
 def run_scenario(scenario: ChurnScenario) -> ChurnReport:
-    """Execute one :class:`ChurnScenario` end to end (picklable worker).
+    """Execute one :class:`ChurnScenario` end to end.
 
     Builds the topology, arms a fault injector when the scenario plans
     failures, churns through the hard event budget, and returns the
-    warm-up-trimmed :class:`~repro.workload.stats.ChurnReport` --
-    plain data, so replications fan across processes bit-identically.
+    warm-up-trimmed :class:`~repro.workload.stats.ChurnReport`.
     """
     network = scenario.build_network()
     injector = FaultInjector(FaultPlan([])) if scenario.failures else None
@@ -679,7 +675,7 @@ class BlockingPoint:
     ci_half_width: float
     carried_erlangs: float
     #: Per-replication ledger digests, in seed order -- the fingerprint
-    #: the jobs=1 vs jobs=4 equivalence job compares.
+    #: two runs of one seed must share.
     digests: Tuple[str, ...] = ()
 
     def as_row(self) -> List[object]:
@@ -691,16 +687,12 @@ class BlockingPoint:
 def blocking_curve(loads: Sequence[float],
                    scenario: ChurnScenario,
                    replications: int = 1,
-                   jobs: int = 1,
-                   executor: Optional[ParallelExecutor] = None,
                    ) -> List[BlockingPoint]:
-    """Blocking probability vs offered load, with replication fan-out.
+    """Blocking probability vs offered load, over seeded replications.
 
     Every ``(load, replication)`` cell is one fully seeded
-    :func:`run_scenario` (replication ``i`` uses ``seed + i``) -- an
-    independent unit of work, so fanning the grid across worker
-    processes with ``jobs=N`` returns results bit-identical to the
-    serial loop, per-replication ledger digests included.  Confidence
+    :func:`run_scenario` (replication ``i`` uses ``seed + i``), and each
+    point keeps its replications' ledger digests.  Confidence
     intervals are batch means: across replications when there are
     several, within-run time batches otherwise.
     """
@@ -713,7 +705,7 @@ def blocking_curve(loads: Sequence[float],
         for load in loads
         for rep in range(replications)
     ]
-    reports = parallel_map(run_scenario, grid, jobs=jobs, executor=executor)
+    reports = [run_scenario(cell) for cell in grid]
     points: List[BlockingPoint] = []
     for index, load in enumerate(loads):
         cell = reports[index * replications:(index + 1) * replications]

@@ -2,9 +2,8 @@
 
 The ledger written by :class:`~repro.workload.churn.ChurnEngine` is the
 single source of truth: every function here is a pure, deterministic
-fold over those plain-data rows, so the analytics can run in-process,
-in a worker of the parallel fan-out, or offline on a pickled report --
-always with bit-identical results.
+fold over those plain-data rows, so the analytics give bit-identical
+results wherever they run, live or offline on a saved report.
 
 The headline quantities are the classic teletraffic trio:
 
@@ -111,8 +110,8 @@ def ledger_digest(ledger: Sequence["ChurnRecord"]) -> str:
 
     Hashes the canonical repr of every row in order -- times, outcomes,
     routes, everything -- so two runs agree on the digest iff they took
-    bit-identical trajectories.  This is the value the jobs=1 vs jobs=4
-    equivalence check compares.
+    bit-identical trajectories.  This is the value the seeded
+    reproducibility checks compare.
     """
     hasher = hashlib.sha256()
     for row in ledger:
@@ -183,7 +182,7 @@ class ClassStats:
 
 @dataclass(frozen=True)
 class ChurnReport:
-    """Everything one churn run yields -- plain data, picklable.
+    """Everything one churn run yields, as plain data.
 
     ``link_utilization`` summarizes the per-link bandwidth-commitment
     timeline as sorted ``(link, time-weighted mean, peak)`` triples;

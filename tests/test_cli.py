@@ -44,6 +44,23 @@ class TestParser:
         assert args.ring_nodes == 16
         assert 0.75 in args.loads
 
+    @pytest.mark.parametrize("argv", [
+        ["fig10", "--terminals", "0"],
+        ["fig11", "--fractions", "1.5"],
+        ["failover", "--ring-nodes", "2"],
+        ["chaos", "--link", "nope"],
+        ["churn", "--nodes", "0"],
+        ["churn", "--policy", "k-alternate", "--k", "0"],
+        ["obs", "--ring-nodes", "0"],
+    ], ids=lambda argv: "_".join(argv).replace("--", ""))
+    def test_rejected_argument_is_a_usage_error(self, capsys, argv):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.splitlines()[-1].startswith("repro-eval: error: ")
+
 
 class TestCommands:
     def test_table1(self, capsys):
@@ -103,42 +120,6 @@ class TestCommands:
         out = run(capsys, "--csv", "vbr", "--mbs", "1")
         assert "|" not in out
         assert out.startswith("mbs_per_node,max_load")
-
-
-class TestJobsFlag:
-    def test_help_documents_jobs(self):
-        helptext = build_parser().format_help()
-        assert "--jobs" in helptext
-        assert "0 = os.cpu_count()" in helptext
-
-    def test_default_is_serial(self):
-        args = build_parser().parse_args(["table1"])
-        assert args.jobs == 1
-
-    def test_zero_means_all_cores(self):
-        args = build_parser().parse_args(["--jobs", "0", "table1"])
-        assert args.jobs == 0
-
-    def test_negative_rejected(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["--jobs", "-2", "table1"])
-
-    def test_non_integer_rejected(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["--jobs", "many", "table1"])
-
-    def test_parallel_output_matches_serial(self, capsys):
-        argv = ["fig10", "--loads", "0.25", "0.5",
-                "--terminals", "1", "4", "--ring-nodes", "8"]
-        serial = run(capsys, *argv)
-        fanned = run(capsys, "--jobs", "2", *argv)
-        assert fanned == serial
-
-    def test_parallel_csv_matches_serial(self, capsys):
-        argv = ["--csv", "vbr", "--mbs", "1", "4", "--ring-nodes", "8"]
-        serial = run(capsys, *argv)
-        fanned = run(capsys, "--jobs", "2", *argv)
-        assert fanned == serial
 
 
 class TestChaosCommand:
@@ -215,11 +196,6 @@ class TestChurnCommand:
         first = json.loads(run(capsys, *self.ARGS, "--json"))
         second = json.loads(run(capsys, *self.ARGS, "--json"))
         assert first == second
-
-    def test_jobs_fanout_matches_serial(self, capsys):
-        serial = run(capsys, *self.ARGS, "--json")
-        fanned = run(capsys, "--jobs", "2", *self.ARGS, "--json")
-        assert fanned == serial
 
     def test_policy_choices_are_enforced(self):
         with pytest.raises(SystemExit):

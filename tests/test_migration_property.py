@@ -30,7 +30,6 @@ from repro.robustness.harness import (
     LinkFailureEvent,
     random_link_failures,
     run_schedule,
-    run_schedules,
 )
 
 SCHEDULES = int(os.environ.get("FAULT_SCHEDULES", "40"))
@@ -173,16 +172,3 @@ def test_link_failure_draw_is_seed_deterministic():
     assert all(isinstance(event, LinkFailureEvent) for event in first)
     assert all(1 <= event.after <= 5 for event in first)
 
-
-def test_parallel_fanout_matches_serial():
-    seeds = range(20_000, 20_000 + 8)
-    serial = run_schedules(seeds, duplex_ring_factory,
-                           duplex_ring_requests, link_failures=2)
-    fanned = run_schedules(seeds, duplex_ring_factory,
-                           duplex_ring_requests, link_failures=2, jobs=2)
-    for left, right in zip(serial, fanned):
-        assert left.established == right.established
-        assert left.migrated == right.migrated
-        assert left.dropped == right.dropped
-        assert left.journals == right.journals
-        assert left.ok and right.ok

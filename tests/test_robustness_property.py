@@ -97,6 +97,13 @@ def test_corpus_is_not_vacuous():
                for report in reports)
 
 
+def test_journal_digests_populated():
+    report = run_schedule(0, line_factory, line_requests)
+    assert report.journals
+    switch_names = [name for name, _ops in report.journals]
+    assert switch_names == sorted(switch_names)
+
+
 def test_random_plans_are_seed_deterministic():
     import random
 

@@ -15,6 +15,7 @@ from repro.rtnet import (
     asymmetric_workload,
     broadcast_route,
     establish_workload,
+    failover_capacity,
     failover_capacity_curve,
     priority_capacity_curve,
     ring_node,
@@ -298,6 +299,31 @@ class TestFigure13Driver:
             [0.0], terminals_per_node=8, ring_nodes=8, tolerance=1 / 64)
         _p, hard, soft = rows[0]
         assert soft > hard
+
+
+@pytest.mark.parametrize("build,args,kwargs", [
+    pytest.param(asymmetric_capacity_curve, ([1.5], 1), {"ring_nodes": 4},
+                 id="fig11-fraction-above-1"),
+    pytest.param(priority_capacity_curve, ([-0.5], 1), {"ring_nodes": 4},
+                 id="fig12-negative-fraction"),
+    pytest.param(asymmetric_capacity_curve, ([0.5], 0), {"ring_nodes": 4},
+                 id="fig11-no-terminals"),
+    pytest.param(soft_hard_capacity_curve, ([0.5], 0), {"ring_nodes": 4},
+                 id="fig13-no-terminals"),
+    pytest.param(vbr_capacity_curve, ([0],), {"ring_nodes": 4},
+                 id="vbr-mbs-0"),
+    pytest.param(vbr_capacity_curve, ([1],), {"ring_nodes": 0},
+                 id="vbr-no-ring-nodes"),
+    pytest.param(symmetric_delay_curve, ([0.5], 0), {},
+                 id="fig10-no-terminals"),
+    pytest.param(failover_capacity, (0,), {}, id="failover-no-terminals"),
+    pytest.param(asymmetric_workload, (0.5, 0.9, 4, 1), {"hot_node": 7},
+                 id="hot-terminal-off-the-ring"),
+])
+def test_invalid_size_or_fraction_raises(build, args, kwargs):
+    """Bad input is an error, never a capacity number."""
+    with pytest.raises(TrafficModelError):
+        build(*args, **kwargs)
 
 
 class TestEstablishWorkload:

@@ -17,7 +17,6 @@ from repro.network.topology import star_network
 from repro.robustness.faults import FaultInjector, FaultPlan
 from repro.robustness.migration import no_double_booking
 from repro.workload import (
-    BlockingPoint,
     ChurnEngine,
     ChurnScenario,
     LinkFailure,
@@ -268,20 +267,9 @@ class TestSetupLatency:
 
 
 class TestEquivalence:
-    def curve(self, jobs):
+    def test_replications_use_distinct_seeds(self):
         scenario = ChurnScenario(
             events=CHURN_EVENTS, seed=5, policy="k-alternate", **RING)
-        return blocking_curve([1.0, 3.0], scenario, replications=2,
-                              jobs=jobs)
-
-    def test_jobs1_vs_jobs4_bit_identical(self):
-        serial = self.curve(jobs=1)
-        fanned = self.curve(jobs=4)
-        assert serial == fanned
-        assert all(isinstance(point, BlockingPoint) for point in fanned)
-        assert [point.digests for point in serial] == \
-               [point.digests for point in fanned]
-
-    def test_replications_use_distinct_seeds(self):
-        (point, _other) = self.curve(jobs=1)
+        (point, _other) = blocking_curve([1.0, 3.0], scenario,
+                                         replications=2)
         assert len(set(point.digests)) == len(point.digests)
