@@ -86,8 +86,13 @@ from ..robustness.retry import RetryPolicy
 from .accumulation import CdvPolicy, make_policy
 from .bitstream import BitStream, Number
 from .switch_cac import SwitchCAC
+from .traffic import VBRParameters
 
 __all__ = ["NetworkCAC"]
+
+#: Entries the per-hop stream memo holds before it starts over: callers
+#: may send any number of distinct descriptors, so the memo is bounded.
+_STREAM_MEMO_SIZE = 1024
 
 
 class NetworkCAC:
@@ -184,6 +189,8 @@ class NetworkCAC:
         self.rng = rng or random.Random(0)
         self._switches: Dict[str, SwitchCAC] = {}
         self._established: Dict[str, EstablishedConnection] = {}
+        #: Step 1 streams by (descriptor stream key, CDV, CDV type).
+        self._hop_streams: Dict[tuple, BitStream] = {}
         #: leg ids of walks currently in flight, so a breaker closing
         #: mid-walk cannot reconcile away a half-committed booking
         self._in_flight: Set[str] = set()
@@ -271,17 +278,45 @@ class NetworkCAC:
             for hop in route.hops()
         ]
 
+    def _hop_stream(self, traffic: VBRParameters, bounds: Sequence[Number],
+                    hop_index: int) -> Tuple[Number, BitStream]:
+        """Step 1 at one hop: ``(upstream CDV, arrival stream)``.
+
+        ``bounds`` are the route's advertised bounds in hop order.  The
+        source envelope of Algorithm 2.1 is clumped by the CDV the
+        policy accumulates over the bounds of the hops before
+        ``hop_index`` (Algorithm 3.1); hop 0 sees the undistorted
+        envelope.  The stream depends on the descriptor and the CDV
+        alone, so it is built once per descriptor stream key and CDV
+        (with the CDV's type) and shared by every walk and leg.
+        """
+        if not 0 <= hop_index < len(bounds):
+            raise IndexError(
+                f"hop index {hop_index} is not on a route of "
+                f"{len(bounds)} hops"
+            )
+        cdv = self.cdv_policy.accumulate(bounds[:hop_index])
+        key = (traffic.stream_key, cdv, type(cdv))
+        memo = self._hop_streams
+        stream = memo.get(key)
+        if stream is None:
+            if len(memo) >= _STREAM_MEMO_SIZE:
+                memo.clear()
+            stream = memo[key] = traffic.worst_case_stream().delayed(cdv)
+        return cdv, stream
+
     def arrival_stream(self, request: ConnectionRequest,
                        hop_index: int) -> BitStream:
         """Step 1: the worst-case arrival stream at the given hop.
 
         The source envelope of Algorithm 2.1, clumped by the CDV the
         policy accumulates over the advertised bounds of the upstream
-        hops (Algorithm 3.1).  Hop 0 sees the undistorted envelope.
+        hops (Algorithm 3.1).  Hop 0 sees the undistorted envelope.  A
+        ``hop_index`` outside ``range(len(request.route.hops()))``
+        raises :class:`IndexError`.
         """
         bounds = self._advertised_bounds(request.route, request.priority)
-        cdv = self.cdv_policy.accumulate(bounds[:hop_index])
-        return request.traffic.worst_case_stream().delayed(cdv)
+        return self._hop_stream(request.traffic, bounds, hop_index)[1]
 
     def setup(self, request: ConnectionRequest,
               trace: Optional[SignalingTrace] = None) -> EstablishedConnection:
@@ -380,7 +415,6 @@ class NetworkCAC:
 
         channel = self._channel(trace)
         committed: List[HopCommitment] = []
-        envelope = request.traffic.worst_case_stream()
         touched = 0
         self._in_flight.add(leg_id)
         try:
@@ -390,8 +424,8 @@ class NetworkCAC:
                     # Phase 1: the SETUP message walks downstream,
                     # reserving.
                     for index, hop in enumerate(hops):
-                        cdv = self.cdv_policy.accumulate(bounds[:index])
-                        stream = envelope.delayed(cdv)
+                        cdv, stream = self._hop_stream(
+                            request.traffic, bounds, index)
 
                         def process_reserve(hop=hop, cdv=cdv, stream=stream):
                             if trace is not None:
@@ -527,7 +561,10 @@ class NetworkCAC:
         Hop checks are mutually independent (every hop reconstructs the
         arrival stream from the source contract), so the answer equals
         what :meth:`setup` would decide -- without touching any state.
+        An established name is refused, as :meth:`setup` refuses it.
         """
+        if request.name in self._established:
+            return False
         try:
             bounds = self._advertised_bounds(request.route, request.priority)
         except AdmissionError:
@@ -537,13 +574,11 @@ class NetworkCAC:
             achievable += bound
         if request.delay_bound is not None and achievable > request.delay_bound:
             return False
-        envelope = request.traffic.worst_case_stream()
         for index, hop in enumerate(request.route.hops()):
-            cdv = self.cdv_policy.accumulate(bounds[:index])
+            _cdv, stream = self._hop_stream(request.traffic, bounds, index)
             try:
                 result = self.switch(hop.switch).check(
-                    hop.in_link, hop.out_link, request.priority,
-                    envelope.delayed(cdv),
+                    hop.in_link, hop.out_link, request.priority, stream,
                 )
             except AdmissionError:
                 # An unserved priority or a crashed switch on the route

@@ -122,7 +122,13 @@ class BandwidthAllocationCAC:
         return self._allocated.get(link_name, 0)
 
     def would_admit(self, request: ConnectionRequest) -> bool:
-        """True when every link on the route has headroom for the rate."""
+        """True when :meth:`setup` would reserve the connection.
+
+        That needs a name not yet established and headroom for the rate
+        on every link of the route.
+        """
+        if request.name in self._connections:
+            return False
         rate = self.rate_of(request)
         for link in request.route.links:
             if self.allocated(link.name) + rate > link.capacity:

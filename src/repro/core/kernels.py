@@ -247,8 +247,9 @@ def patch_fast(base: StreamKernel, old: StreamKernel,
     """``base - old + new`` over one breakpoint union.
 
     The patch operation behind every incremental update of a port's
-    two aggregate sums and every ``soa(replace=...)`` /
-    ``sof_higher(extra=...)`` substitution.
+    two aggregate sums: the admission check's what-if sums (which the
+    reserve that follows installs) and every add or release the check
+    did not compute.
     Point-wise it evaluates the same left-to-right ``(a - b) + c`` the
     two pairwise merges would, but the union is built once and no
     intermediate stream is canonicalized or allocated -- one pass

@@ -15,9 +15,11 @@ instances of one private aggregate:
 Each instance keeps per-input ``Sia`` (the ground truth), per-input
 ``Sif = filter(Sia)``, the patched sum ``sum_i Sif`` and the scalar
 ``(sigma, rho)`` ledger the admission fast path screens with, all
-patched by one ``+``/``-`` delta per admit/release.  On top the port
-keeps only the memoized :class:`~repro.core.delay_bound.ServiceCurve`
-of ``Sof(j)(p)``.
+patched by one ``+``/``-`` delta per admit/release.  An add is built by
+the instance's what-if, which the exact admission check calls first,
+so the reserve that follows can install the check's streams as they
+are.  On top the port keeps only the memoized
+:class:`~repro.core.delay_bound.ServiceCurve` of ``Sof(j)(p)``.
 
 The object is *pure domain state*: no journaling, no two-phase
 bookkeeping, no metrics registry -- those belong to
@@ -38,10 +40,13 @@ from typing import Callable, Dict, Iterable, List, Mapping, Optional, Tuple
 from .bitstream import BitStream, Number, ZERO_STREAM, aggregate
 from .delay_bound import ServiceCurve
 
-__all__ = ["PortState", "CacheObserver"]
+__all__ = ["PortState", "CacheObserver", "Streams"]
 
 #: ``(hit, cache_name)`` callback counting memo hits/misses.
 CacheObserver = Callable[[bool, str], None]
+
+#: One aggregate's ``(Sia, Sif, sum_i Sif)`` for one input link.
+Streams = Tuple[BitStream, BitStream, BitStream]
 
 
 def _no_observer(_hit: bool, _cache: str) -> None:
@@ -73,23 +78,45 @@ class _Aggregate:
         """Per-input link filtering (identity in the ablation mode)."""
         return stream.filtered() if self.filter_per_input else stream
 
-    def apply(self, in_link: str, stream: BitStream, add: bool) -> None:
+    def added(self, in_link: str, stream: BitStream) -> Streams:
+        """What-if: ``(Sia, Sif, sum_i Sif)`` with ``stream`` added.
+
+        Mutates nothing.  The admission check builds its candidate
+        streams with it, and :meth:`apply` builds every add with it, so
+        a check's result and the add it precedes are the same floats.
+        The sum is one O(m) subtract-and-add delta against the patched
+        sum (:meth:`replaced`).
+        """
+        new_sia = self.sia.get(in_link, ZERO_STREAM) + stream
+        new_sif = self.filter(new_sia)
+        return new_sia, new_sif, self.replaced(in_link, new_sif)
+
+    def apply(self, in_link: str, stream: BitStream, add: bool,
+              streams: Optional[Streams] = None) -> None:
         """Patch the ledger, ``Sia``, ``Sif`` and the sum for one delta.
 
         A single ``+``/``-`` of the connection's stream (Algorithms
-        3.2/3.3) -- O(m) in the aggregate breakpoint count.
+        3.2/3.3) -- O(m) in the aggregate breakpoint count.  An add
+        installs ``streams`` when given: :meth:`added`'s result for
+        this very stream against the current state, which the caller
+        already holds from the admission check.
         """
         sign = 1 if add else -1
         self.rate = self.rate + sign * stream.long_run_rate
         self.burst = self.burst + sign * stream.burst
-        old_sia = self.sia.get(in_link, ZERO_STREAM)
-        new_sia = (old_sia + stream) if add else (old_sia - stream)
+        if add:
+            new_sia, new_sif, total = (
+                streams if streams is not None
+                else self.added(in_link, stream))
+        else:
+            new_sia = self.sia.get(in_link, ZERO_STREAM) - stream
+            new_sif = self.filter(new_sia)
+            total = self.replaced(in_link, new_sif)
         if new_sia.is_zero:
             self.sia.pop(in_link, None)
         else:
             self.sia[in_link] = new_sia
-        new_sif = self.filter(new_sia)
-        self.total = self.replaced(in_link, new_sif)
+        self.total = total
         self.sif[in_link] = new_sif
 
     def replaced(self, in_link: str, new_sif: BitStream) -> BitStream:
@@ -182,34 +209,13 @@ class PortState:
         """``Sia(i, j, p)``: the per-pair per-priority aggregate."""
         return self.own.sia.get(in_link, ZERO_STREAM)
 
-    def soa(self, replace: Optional[Tuple[str, BitStream]] = None,
-            ) -> BitStream:
-        """``Soa(j, p)``: the output-port arrival stream.
+    def soa(self) -> BitStream:
+        """``Soa(j, p)``: the output-port arrival stream."""
+        return self.own.total
 
-        ``replace`` substitutes the (already filtered) per-input
-        aggregate of one incoming link -- how an admission check builds
-        ``S'oa`` without mutating state: one O(m) subtract-and-add
-        delta against the patched sum.
-        """
-        if replace is None:
-            return self.own.total
-        return self.own.replaced(*replace)
-
-    def sof_higher(self, extra: Optional[Tuple[str, BitStream]] = None,
-                   ) -> BitStream:
-        """``Sof(j)(p)``: filtered higher-priority output interference.
-
-        ``extra`` adds a candidate connection's stream to the
-        higher-priority aggregate of one incoming link (checking the
-        impact of a new higher-priority connection on this port);
-        like ``replace`` above, an O(m) delta against the patched sum.
-        """
-        higher = self.higher
-        if extra is None:
-            return higher.total.filtered()
-        in_link, stream = extra
-        combined = higher.sia.get(in_link, ZERO_STREAM) + stream
-        return higher.replaced(in_link, higher.filter(combined)).filtered()
+    def sof_higher(self) -> BitStream:
+        """``Sof(j)(p)``: filtered higher-priority output interference."""
+        return self.higher.total.filtered()
 
     def service(self) -> ServiceCurve:
         """Memoized :class:`ServiceCurve` of ``Sof(j)(p)``."""
@@ -221,18 +227,25 @@ class PortState:
             self.on_cache(True, "service")
         return cached
 
-    def apply_same(self, in_link: str, stream: BitStream, add: bool) -> None:
-        """Patch the ``own`` instance for one admit/release delta."""
-        self.own.apply(in_link, stream, add)
+    def apply_same(self, in_link: str, stream: BitStream, add: bool,
+                   streams: Optional[Streams] = None) -> None:
+        """Patch the ``own`` instance for one admit/release delta.
 
-    def apply_higher(self, in_link: str, stream: BitStream, add: bool) -> None:
+        ``streams``, for an add only, is ``own.added(in_link, stream)``
+        as the admission check computed it (see :meth:`_Aggregate.apply`).
+        """
+        self.own.apply(in_link, stream, add, streams)
+
+    def apply_higher(self, in_link: str, stream: BitStream, add: bool,
+                     streams: Optional[Streams] = None) -> None:
         """Patch the ``higher`` instance after a higher-priority delta.
 
         Invoked on every *lower*-priority port of the link when a
         stream is admitted/released above it; the interference changed,
-        so the memoized ServiceCurve is dropped.
+        so the memoized ServiceCurve is dropped.  ``streams`` is as in
+        :meth:`apply_same`, for the ``higher`` instance.
         """
-        self.higher.apply(in_link, stream, add)
+        self.higher.apply(in_link, stream, add, streams)
         self._service = None
 
     def clear(self) -> None:

@@ -60,7 +60,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..exceptions import AdmissionError, SwitchRejection, SwitchUnavailable
@@ -71,7 +71,7 @@ from ..robustness.journal import AdmissionJournal
 from .bitstream import BitStream, Number, ZERO_STREAM
 from .delay_bound import (backlog_bound_with_higher, delay_bound,
                           latency_rate_bound)
-from .port_state import PortState
+from .port_state import PortState, Streams
 
 __all__ = ["SwitchCAC", "Leg", "CheckResult", "PriorityBoundViolation"]
 
@@ -200,12 +200,20 @@ class CheckResult:
     connection admitted*; ``violations`` lists the priorities whose
     bound would exceed the advertised guarantee.  The connection passes
     iff ``violations`` is empty.
+
+    ``_streams`` is private to the switch and left out of ``==`` and
+    ``repr``: the exact path's what-if streams, keyed by port priority
+    -- the candidate port's ``own`` instance and the ``higher`` instance
+    of every lower port it checked -- which the reserve or admit that
+    follows installs instead of recomputing.
     """
 
     switch: str
     out_link: str
     computed_bounds: Mapping[int, Number]
     violations: Tuple[PriorityBoundViolation, ...]
+    _streams: Mapping[int, Streams] = field(
+        default_factory=dict, compare=False, repr=False)
 
     @property
     def admitted(self) -> bool:
@@ -431,35 +439,20 @@ class SwitchCAC:
         port = self._ports.get(out_link, {}).get(priority)
         return ZERO_STREAM if port is None else port.sia(in_link)
 
-    def soa(self, out_link: str, priority: int,
-            replace: Optional[Tuple[str, BitStream]] = None) -> BitStream:
-        """``Soa(j, p)``: output-port arrival stream of priority ``p``.
+    def soa(self, out_link: str, priority: int) -> BitStream:
+        """``Soa(j, p)``: output-port arrival stream of priority ``p``."""
+        return self.port(out_link, priority).soa()
 
-        ``replace`` optionally substitutes the (already filtered)
-        per-input aggregate of one incoming link -- how the admission
-        check builds ``S'oa`` without mutating state.  Against the patched
-        sum this is one subtract-and-add delta, O(m), instead of
-        a re-aggregation over every incoming link.
-        """
-        return self.port(out_link, priority).soa(replace=replace)
-
-    def sof_higher(self, out_link: str, priority: int,
-                   extra: Optional[Tuple[str, BitStream]] = None) -> BitStream:
-        """``Sof(j)(p)``: filtered higher-priority output interference.
-
-        ``extra`` optionally adds a candidate connection's stream to the
-        higher-priority aggregate of one incoming link (used when
-        checking the impact of a new higher-priority connection on an
-        existing lower priority); like ``replace`` above, the candidate
-        variant is an O(m) delta against the patched interference sum.
-        """
-        return self.port(out_link, priority).sof_higher(extra=extra)
+    def sof_higher(self, out_link: str, priority: int) -> BitStream:
+        """``Sof(j)(p)``: filtered higher-priority output interference."""
+        return self.port(out_link, priority).sof_higher()
 
     # ------------------------------------------------------------------
     # Incremental state transitions
     # ------------------------------------------------------------------
 
-    def _apply(self, leg: Leg, add: bool) -> None:
+    def _apply(self, leg: Leg, add: bool,
+               streams: Mapping[int, Streams]) -> None:
         """Patch every aggregate for one admit/release delta.
 
         The leg's stream is added to (or removed from) the in-link
@@ -468,9 +461,13 @@ class SwitchCAC:
         each (Algorithms 3.2/3.3).  No port reads another, so each
         port's floats depend only on the sequence of deltas it sees:
         the incremental arithmetic :meth:`recover` relies on for
-        bit-identical replay.  Only the final output filter and the
-        ServiceCurve of affected lower priorities are recomputed, on the
-        next check that needs them.
+        bit-identical replay.  An add installs the what-if streams
+        ``streams`` holds for a port (keyed by priority, as on
+        :class:`CheckResult`) and computes the rest; both give the same
+        floats, so replay, which holds none, reaches the same state.
+        Only the final output filter and the ServiceCurve of affected
+        lower priorities are recomputed, on the next check that needs
+        them.
         """
         obs = self._rebind()
         if obs.enabled:
@@ -480,11 +477,14 @@ class SwitchCAC:
         base = self._in_link_rate.get(in_link, 0)
         self._in_link_rate[in_link] = (base + rate) if add else (base - rate)
         for lower in self._ports_below(leg.out_link, leg.priority):
-            lower.apply_higher(in_link, stream, add)
-        self.port(leg.out_link, leg.priority).apply_same(in_link, stream, add)
+            lower.apply_higher(in_link, stream, add,
+                               streams.get(lower.priority))
+        self.port(leg.out_link, leg.priority).apply_same(
+            in_link, stream, add, streams.get(leg.priority))
 
     def _transition(self, op: str, connection_id: str,
-                    leg: Optional[Leg] = None) -> Leg:
+                    leg: Optional[Leg] = None,
+                    result: Optional[CheckResult] = None) -> Leg:
         """Run one journal op on the legs and aggregates; return its leg.
 
         The one definition of the five ops: ``reserve`` and ``admit``
@@ -494,12 +494,20 @@ class SwitchCAC:
         stream.  Live operations validate, then reach this through
         :meth:`_record`; :meth:`recover` replays the journal through it
         directly, so replay repeats the live arithmetic op for op.
+
+        A live ``reserve`` or ``admit`` passes the :class:`CheckResult`
+        of the check it just ran, and the add installs that check's
+        streams.  They were computed against the state they patch,
+        because nothing runs between the check and this call: the
+        caller only journals the op in between, and no other leg can
+        interleave with one synchronous method call.
         """
         if op in ("reserve", "admit"):
             assert leg is not None, f"a {op!r} op carries its leg"
             booked = self._pending if op == "reserve" else self._committed
             booked[connection_id] = leg
-            self._apply(leg, add=True)
+            self._apply(leg, add=True, streams=(
+                {} if result is None else result._streams))
             return leg
         self._results.pop(connection_id, None)
         if op == "commit":
@@ -508,14 +516,15 @@ class SwitchCAC:
             return leg
         held = self._pending if op == "abort" else self._committed
         leg = held.pop(connection_id)
-        self._apply(leg, add=False)
+        self._apply(leg, add=False, streams={})
         return leg
 
     def _record(self, op: str, connection_id: str,
-                leg: Optional[Leg] = None) -> Leg:
+                leg: Optional[Leg] = None,
+                result: Optional[CheckResult] = None) -> Leg:
         """Journal one op, then run it (:meth:`_transition`)."""
         self._journal.append(op, connection_id, leg)
-        return self._transition(op, connection_id, leg)
+        return self._transition(op, connection_id, leg, result)
 
     # ------------------------------------------------------------------
     # Admission (Steps 1-6)
@@ -578,12 +587,11 @@ class SwitchCAC:
 
         computed: Dict[int, Number] = {}
         violations: List[PriorityBoundViolation] = []
+        streams: Dict[int, Streams] = {}
 
         # Step 2-4: the new connection's own priority.
-        new_sia = port.sia(in_link) + stream
-        new_sif = port.own.filter(new_sia)
-        new_soa = port.soa(replace=(in_link, new_sif))
-        bound = delay_bound(new_soa, service=port.service())
+        own = streams[priority] = port.own.added(in_link, stream)
+        bound = delay_bound(own[2], service=port.service())
         computed[priority] = bound
         if bound > port.advertised_bound:
             violations.append(PriorityBoundViolation(
@@ -595,8 +603,9 @@ class SwitchCAC:
             soa_lower = lower_port.soa()
             if soa_lower.is_zero:
                 continue  # no traffic to disturb
-            interference = lower_port.sof_higher(extra=(in_link, stream))
-            bound = delay_bound(soa_lower, interference)
+            higher = streams[lower_port.priority] = \
+                lower_port.higher.added(in_link, stream)
+            bound = delay_bound(soa_lower, higher[2].filtered())
             computed[lower_port.priority] = bound
             if bound > lower_port.advertised_bound:
                 violations.append(PriorityBoundViolation(
@@ -608,6 +617,7 @@ class SwitchCAC:
             out_link=out_link,
             computed_bounds=computed,
             violations=tuple(violations),
+            _streams=streams,
         )
 
     def _unbounded(self, priority: int, port: PortState) -> CheckResult:
@@ -736,7 +746,7 @@ class SwitchCAC:
             )
         leg = Leg(connection_id, in_link, out_link, priority, stream)
         result = self._checked(leg)
-        self._record("admit", connection_id, leg)
+        self._record("admit", connection_id, leg, result)
         self._rebind().admits.inc()
         return result
 
@@ -799,7 +809,7 @@ class SwitchCAC:
                 )
             return self._results[connection_id]
         result = self._results[connection_id] = self._checked(leg)
-        self._record("reserve", connection_id, leg)
+        self._record("reserve", connection_id, leg, result)
         self._rebind().reserves.inc()
         return result
 
@@ -946,13 +956,14 @@ class SwitchCAC:
             self._record("admit", leg.connection_id, leg)
         for leg in snapshot.get("pending", ()):
             try:
-                self._results[leg.connection_id] = self._checked(leg)
+                result = self._results[leg.connection_id] = \
+                    self._checked(leg)
             except SwitchRejection as rejection:
                 raise AdmissionError(
                     f"restored reservation {leg.connection_id!r} no longer "
                     f"passes at switch {self.name!r}: {rejection}"
                 ) from rejection
-            self._record("reserve", leg.connection_id, leg)
+            self._record("reserve", leg.connection_id, leg, result)
         if not self.verify_consistency():
             raise AdmissionError(
                 f"restore left switch {self.name!r} with inconsistent caches"

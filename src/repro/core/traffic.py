@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List
+from typing import List, Tuple
 
 from ..exceptions import TrafficModelError
 from .bitstream import BitStream, Number
@@ -95,6 +95,17 @@ class VBRParameters:
     def is_cbr(self) -> bool:
         """True when this descriptor is a constant-bit-rate contract."""
         return self.pcr == self.scr
+
+    @property
+    def stream_key(self) -> Tuple["VBRParameters", type, type, type]:
+        """The descriptor with its number types, as a hashable key.
+
+        Equal keys build bit-identical streams, so memos of built
+        streams key on this, not on the descriptor: ``cbr(0.25)`` and
+        ``cbr(Fraction(1, 4))`` compare and hash equal but build a float
+        and a Fraction stream.
+        """
+        return self, type(self.pcr), type(self.scr), type(self.mbs)
 
     @property
     def burst_duration(self) -> Number:

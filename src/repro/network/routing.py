@@ -206,7 +206,22 @@ def alternate_paths(network: Network, src: str, dst: str, k: int,
     treat an empty list as "unroutable" rather than an error, which is
     what lets a retry policy degrade gracefully on a partitioned
     network.
+
+    The routes depend on the topology alone, so each network memoizes
+    them per ``(src, dst, k, avoid)`` until its next ``add_node`` or
+    ``add_link``; every call returns a fresh list.
     """
+    key = (src, dst, k, frozenset(avoid))
+    memo = network._path_memo
+    found = memo.get(key)
+    if found is None:
+        found = memo[key] = _k_best(network, src, dst, k, avoid)
+    return list(found)
+
+
+def _k_best(network: Network, src: str, dst: str, k: int,
+            avoid: AbstractSet[str]) -> List[Route]:
+    """:func:`alternate_paths` without the memo."""
     network.node(src)
     network.node(dst)
     if src == dst:

@@ -106,6 +106,9 @@ class Network:
         self._links: Dict[str, Link] = {}
         self._out: Dict[str, List[str]] = {}   # node -> outgoing link names
         self._in: Dict[str, List[str]] = {}    # node -> incoming link names
+        #: alternate_paths results by (src, dst, k, avoid); every
+        #: mutator clears it (see repro.network.routing).
+        self._path_memo: Dict[tuple, list] = {}
 
     # ------------------------------------------------------------------
     # Construction
@@ -116,6 +119,7 @@ class Network:
         if name in self._nodes:
             raise TopologyError(f"duplicate node {name!r}")
         node = Node(name, kind)
+        self._path_memo.clear()
         self._nodes[name] = node
         self._out[name] = []
         self._in[name] = []
@@ -142,6 +146,7 @@ class Network:
         if link_name in self._links:
             raise TopologyError(f"duplicate link {link_name!r}")
         link = Link(link_name, src, dst, capacity, dict(bounds or {}))
+        self._path_memo.clear()
         self._links[link_name] = link
         self._out[src].append(link_name)
         self._in[dst].append(link_name)

@@ -117,9 +117,7 @@ class RingAnalysis:
         }
         # Each terminal's delayed envelopes, indexed by upstream hops and
         # filled on first use.  Terminals share a row when they share
-        # priority, descriptor and the descriptor's number types: equal
-        # values of one type build identical streams, but 0.25 and
-        # Fraction(1, 4) compare (and hash) equal and do not.
+        # priority and the descriptor's stream key.
         rows: Dict[tuple, List[Optional[BitStream]]] = {}
         self._terminals: List[
             Tuple[int, int, VBRParameters, int, List[Optional[BitStream]]]
@@ -130,9 +128,8 @@ class RingAnalysis:
                     f"workload references node {node} outside the "
                     f"{ring_nodes}-node ring"
                 )
-            key = (priority, params, type(params.pcr), type(params.scr),
-                   type(params.mbs))
-            row = rows.setdefault(key, [None] * (ring_nodes - 1))
+            row = rows.setdefault((priority, params.stream_key),
+                                  [None] * (ring_nodes - 1))
             self._terminals.append((node, slot, params, priority, row))
         self._link_bounds: Dict[Tuple[int, int], Number] = {}
 

@@ -7,6 +7,7 @@ import pytest
 
 from repro.core.accumulation import HARD, SOFT
 from repro.core.admission import NetworkCAC
+from repro.core.baseline import PeakBandwidthCAC
 from repro.core.traffic import VBRParameters, cbr
 from repro.exceptions import AdmissionError, QosUnsatisfiable, SwitchRejection
 from repro.network.connection import ConnectionRequest
@@ -121,6 +122,19 @@ class TestSetup:
         cac = NetworkCAC(line)
         with pytest.raises(AdmissionError):
             cac.switch("ghost")
+
+
+@pytest.mark.parametrize("scheme", [NetworkCAC, PeakBandwidthCAC])
+def test_would_admit_refuses_an_established_name(scheme):
+    """would_admit answers what setup decides, duplicate names included."""
+    net = line_network(3, bounds={0: 32}, terminals_per_switch=1)
+    cac = scheme(net)
+    request = request_over(net, "vc", "t0.0", "t2.0")
+    assert cac.would_admit(request)
+    cac.setup(request)
+    assert not cac.would_admit(request)
+    with pytest.raises(AdmissionError, match="already established"):
+        cac.setup(request)
 
 
 class TestTeardown:

@@ -39,6 +39,30 @@ class TestArrivalStreamApi:
         assert hop2 == hop0.delayed(64)       # two upstream 32-cell hops
         assert hop2.dominates(hop0)
 
+    @pytest.mark.parametrize("hop_index", [3, 7, -1])
+    def test_hop_off_the_route_raises(self, hop_index):
+        net = line_network(3, bounds={0: 32}, terminals_per_switch=1)
+        cac = NetworkCAC(net)
+        request = ConnectionRequest(
+            "vc", cbr(F(1, 4)), shortest_path(net, "t0.0", "t2.0"))
+        assert len(request.route.hops()) == 3
+        with pytest.raises(IndexError, match="3 hops"):
+            cac.arrival_stream(request, hop_index)
+
+    def test_equal_descriptors_of_other_types_keep_their_types(self):
+        """cbr(0.25) == cbr(F(1, 4)), but the memo must not mix them."""
+        net = line_network(3, bounds={0: 32}, terminals_per_switch=1)
+        cac = NetworkCAC(net)
+        route = shortest_path(net, "t0.0", "t2.0")
+        for hop in range(3):
+            real = cac.arrival_stream(
+                ConnectionRequest("a", cbr(0.25), route), hop)
+            exact = cac.arrival_stream(
+                ConnectionRequest("b", cbr(F(1, 4)), route), hop)
+            assert any(isinstance(rate, float) for rate in real.rates)
+            assert not any(isinstance(rate, float) for rate in exact.rates)
+            assert any(isinstance(rate, F) for rate in exact.rates)
+
 
 class TestSwitchAccessors:
     def test_soa_and_sof_reflect_admissions(self):

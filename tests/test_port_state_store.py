@@ -55,7 +55,7 @@ class TestPortState:
         assert port.in_links() == ["in-b"]
         assert streams_equal(port.soa(), rebuilt.soa())
 
-    def test_sof_higher_extra_equals_admitting_at_higher_priority(self):
+    def test_higher_what_if_equals_admitting_at_higher_priority(self):
         def low_port():
             low = self.make_port()
             low.apply_higher("in-a", stream(F(1, 6)), add=True)
@@ -64,10 +64,14 @@ class TestPortState:
             return low
 
         extra = stream(F(1, 10))
-        candidate = low_port().sof_higher(extra=("in-a", extra))
+        probed = low_port()
+        sia, sif, total = probed.higher.added("in-a", extra)
+        assert streams_equal(probed.sof_higher(), low_port().sof_higher())
         admitted = low_port()
         admitted.apply_higher("in-a", extra, add=True)
-        assert streams_equal(candidate, admitted.sof_higher())
+        assert streams_equal(total.filtered(), admitted.sof_higher())
+        assert streams_equal(sia, admitted.higher.sia["in-a"])
+        assert streams_equal(sif, admitted.higher.sif["in-a"])
 
     def test_verify_against_accepts_truth_and_rejects_drift(self):
         port = self.make_port()

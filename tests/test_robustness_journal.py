@@ -269,6 +269,27 @@ def state_hash(cac):
     return hasher.hexdigest()
 
 
+def aggregate_hash(cac):
+    """A float.hex hash of every port's per-input ``Sia`` and ``Sif``.
+
+    Both instances of every port.  :func:`state_hash` sees only the
+    patched sums; a reserve that installs its check's streams writes
+    these dicts too, so recovery must rebuild them bit for bit.
+    """
+    hasher = hashlib.sha256()
+    for name, switch in sorted(cac.switches().items()):
+        for link in switch.out_links():
+            for priority in switch.priorities(link):
+                port = switch.port(link, priority)
+                hasher.update(repr((name, link, priority, tuple(
+                    tuple((in_link, _stream_key(value))
+                          for in_link, value in sorted(streams.items()))
+                    for instance in (port.own, port.higher)
+                    for streams in (instance.sia, instance.sif)
+                ))).encode())
+    return hasher.hexdigest()
+
+
 def vbr_class(name, traffic, priority, load):
     """A churn class offering ``load`` normalized bandwidth (holding 400)."""
     return TrafficClass(name, traffic,
@@ -282,7 +303,8 @@ def test_float_recovery_is_bit_identical_on_churned_two_priority_state(
         fast_path):
     """Churn the two VBR classes of the benchmark's vbr-2prio workload;
     after every 200 events crash and recover every switch, and demand
-    the same float.hex state hash before and after."""
+    the same float.hex state and per-input aggregate hashes before and
+    after."""
     network = build_rtnet(6, 2, bounds={0: 32.0, 1: 96.0}, dual_ring=True)
     cac = NetworkCAC(network, rng=random.Random(5), fast_path=fast_path)
     engine = ChurnEngine(
@@ -295,10 +317,12 @@ def test_float_recovery_is_bit_identical_on_churned_two_priority_state(
     for _ in range(3):
         engine.run(max_events=200)
         before = state_hash(cac)
+        aggregates = aggregate_hash(cac)
         for switch in cac.switches().values():
             switch.crash()
             switch.recover()
         assert state_hash(cac) == before
+        assert aggregate_hash(cac) == aggregates
         run.update(before.encode())
     assert run.hexdigest() == FLOAT_RUN_HASH
     assert journal_digest_of(cac) == FLOAT_JOURNAL_DIGEST

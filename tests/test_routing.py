@@ -173,6 +173,25 @@ class TestAlternatePaths:
         for route in routes:
             assert "t" not in [link.dst for link in route.links[:-1]]
 
+    def test_a_link_added_later_opens_a_shorter_path(self):
+        net = diamond_network()
+        assert [r.link_names for r in alternate_paths(net, "a", "d", k=1)] \
+            == [("a->b", "b->d")]
+        net.add_link("a", "d")
+        assert [r.link_names for r in alternate_paths(net, "a", "d", k=1)] \
+            == [("a->d",)]
+
+    def test_each_call_returns_a_fresh_list(self):
+        net = diamond_network()
+        first = alternate_paths(net, "a", "d", k=2)
+        first.clear()
+        second = alternate_paths(net, "a", "d", k=2)
+        assert [r.link_names for r in second] == [
+            ("a->b", "b->d"),
+            ("a->c", "c->d"),
+        ]
+        assert second is not alternate_paths(net, "a", "d", k=2)
+
     def test_terminal_endpoints_work(self, line):
         routes = alternate_paths(line, "t0.0", "t2.0", k=2)
         assert len(routes) == 1
