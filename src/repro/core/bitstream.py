@@ -41,7 +41,8 @@ production use and :class:`fractions.Fraction` for exact property tests.
 Only integer literals (``0``, ``1``) are mixed in, which both types
 absorb without precision loss.  Float streams run the multiplexing
 algorithms and the point lookups on the list kernels of
-:mod:`repro.core.kernels`; exact streams keep the generic code below.
+:mod:`repro.core.kernels`, and delay and filtering cut their result's
+kernel from the input's; exact streams keep the generic code below.
 """
 
 from __future__ import annotations
@@ -49,6 +50,7 @@ from __future__ import annotations
 import heapq
 import math
 from fractions import Fraction
+from itertools import chain
 from typing import Iterable, Iterator, Sequence, Tuple, Union
 
 from ..exceptions import BitStreamError
@@ -327,8 +329,11 @@ class BitStream:
         if not isinstance(other, BitStream):
             return NotImplemented
         mine, theirs = self.kernel, other.kernel
-        if mine is not None and theirs is not None:
-            return _from_kernel(merge_fast(mine, theirs, subtract=False))
+        if theirs is not None:
+            if mine is not None:
+                return _from_kernel(merge_fast(mine, theirs, subtract=False))
+            if self is ZERO_STREAM:
+                return _plus_zero(other)
         return _merge(self, other, lambda a, b: a + b)
 
     def __sub__(self, other: "BitStream") -> "BitStream":
@@ -358,6 +363,11 @@ class BitStream:
         kernels = (self.kernel, old.kernel, new.kernel)
         if all(kernel is not None for kernel in kernels):
             return _from_kernel(patch_fast(*kernels))
+        if (self is ZERO_STREAM and old is ZERO_STREAM
+                and kernels[2] is not None):
+            # An empty sum's first input: ``ZERO_STREAM - ZERO_STREAM``
+            # has the zero stream's own int tuples.
+            return _plus_zero(new)
         return _merge(_merge(self, old, lambda a, b: a - b), new,
                       lambda a, b: a + b)
 
@@ -604,6 +614,26 @@ def _from_kernel(kernel: StreamKernel) -> BitStream:
     return BitStream._from_canonical(kernel.rates, kernel.times, kernel)
 
 
+def _plus_zero(stream: BitStream) -> BitStream:
+    """``ZERO_STREAM + stream`` for a float stream, kernel attached.
+
+    The generic merge with the int zero stream returns ``stream``'s
+    segments with the int ``0`` as ``t(0)`` and each rate as ``0 + r``.
+    Zero is the identity of multiplexing, so these are ``stream``'s own
+    rates and its kernel serves the result, unless ``0 + -0.0`` turns a
+    rate into ``0.0`` or ``t(0)`` held the only float: the kernel is
+    then built from the result's tuples on first use.
+    """
+    kernel = stream.kernel
+    rates, times = stream.rates, (0,) + stream.times[1:]
+    if (0.0 in kernel.rates or math.copysign(1.0, kernel.times[0]) < 0
+            or not any(isinstance(value, float)
+                       for value in chain(rates, times))):
+        return BitStream._from_canonical(
+            tuple([0 + rate for rate in rates]), times)
+    return BitStream._from_canonical(rates, times, kernel)
+
+
 def _merge(first: BitStream, second: BitStream, combine) -> BitStream:
     """Point-wise combination of two step functions (Algorithms 3.2/3.3)."""
     rates: list[Number] = []
@@ -727,6 +757,16 @@ def _cap_with_envelope(stream: BitStream, capacity: Number,
         return BitStream.constant(capacity)
     if crossing == 0:
         return stream
+    kernel = stream.kernel
+    if (kernel is not None and not isinstance(capacity, Fraction)
+            and not isinstance(head_start, Fraction)):
+        return _cap_with_kernel(stream, kernel, capacity, crossing)
+    return _capped(stream, capacity, crossing)
+
+
+def _capped(stream: BitStream, capacity: Number,
+            crossing: Number) -> BitStream:
+    """The cap at ``capacity`` until ``crossing``, then ``stream``."""
     index = stream._segment_index(crossing)
     rates = [capacity] + list(stream.rates[index:])
     times = [0 * crossing, crossing] + [
@@ -735,3 +775,31 @@ def _cap_with_envelope(stream: BitStream, capacity: Number,
     # The segment containing the crossing keeps its rate from ``crossing``
     # onwards; canonicalization merges it with the cap if they are equal.
     return BitStream(rates, times)
+
+
+def _cap_with_kernel(stream: BitStream, kernel: StreamKernel,
+                     capacity: Number, crossing: Number) -> BitStream:
+    """:func:`_capped` of a float stream, kernel attached.
+
+    The result holds the tuples :func:`_capped` would canonicalize,
+    type for type: the capacity object as head rate, ``0 * crossing``
+    and the crossing as the first two times, then the input's own
+    segments.  Its kernel is cut from the input's.
+    """
+    index = kernel.segment_index(crossing)
+    if stream.rates[index] > capacity:
+        # A rate within the tolerance above the capacity: the generic
+        # construction validates it, and raises beyond the tolerance.
+        return _capped(stream, capacity, crossing)
+    head = 0 * crossing
+    # A crossing segment at the capacity rate merges into the cap.
+    merged = stream.rates[index] == capacity
+    rates = (capacity,) + stream.rates[index + merged:]
+    cut: Tuple[Number, ...] = (head,) if merged else (head, crossing)
+    times = cut + stream.times[index + 1:]
+    if not isinstance(crossing, float):
+        # A crossing on an exact breakpoint; the result may hold no float.
+        return BitStream._from_canonical(rates, times)
+    return BitStream._from_canonical(rates, times, StreamKernel(
+        (float(capacity),) + kernel.rates[index + merged:],
+        tuple(map(float, cut)) + kernel.times[index + 1:]))

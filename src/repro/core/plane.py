@@ -41,7 +41,7 @@ the same connection id (e.g. a crankback retry over another route).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import AbstractSet, Callable, Dict, List, Optional
+from typing import AbstractSet, Callable, Dict, Optional
 
 from ..exceptions import SwitchUnavailable
 from ..network.connection import ConnectionRequest, EstablishedConnection
@@ -113,7 +113,6 @@ class AdmissionPlane:
         self.clock = EngineClock(engine)
         cac.bind_clock(self.clock)
         self._in_flight = 0
-        self.outcomes: List[SetupOutcome] = []
 
     @property
     def in_flight(self) -> int:
@@ -145,8 +144,9 @@ class AdmissionPlane:
         Returns immediately with the walk's
         :class:`~repro.sim.engine.ProcessHandle`; the walk makes
         progress as the caller runs the engine.  ``on_done(outcome)``
-        fires exactly once, inside the event that finished the walk;
-        every outcome is also appended to :attr:`outcomes`.
+        fires exactly once, inside the event that finished the walk,
+        and is the only place the :class:`SetupOutcome` is delivered:
+        the plane keeps no finished walk alive.
         """
         timers: Dict[str, EventHandle] = {}
         started = self.engine.now
@@ -185,7 +185,6 @@ class AdmissionPlane:
                 started=started,
                 finished=self.engine.now,
             )
-            self.outcomes.append(outcome)
             if on_done is not None:
                 on_done(outcome)
 
@@ -249,5 +248,5 @@ class AdmissionPlane:
     def __repr__(self) -> str:
         return (
             f"AdmissionPlane(in_flight={self._in_flight}, "
-            f"ttl={self.reservation_ttl}, outcomes={len(self.outcomes)})"
+            f"ttl={self.reservation_ttl})"
         )

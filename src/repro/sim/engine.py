@@ -305,7 +305,11 @@ class ProcessHandle:
             self.result = stop.value
             self._finish()
         except Exception as exc:
-            self.error = exc
+            # The traceback starts below this frame: its entry for
+            # ``_step`` would hold ``self`` and close a handle -> error
+            # -> traceback -> frame -> handle cycle only the cyclic
+            # collector frees.
+            self.error = exc.with_traceback(exc.__traceback__.tb_next)
             self._finish()
         else:
             self._resume_event = self.engine.schedule_in(float(wait),

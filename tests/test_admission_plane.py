@@ -11,15 +11,20 @@ Acceptance properties of :class:`~repro.core.plane.AdmissionPlane`:
   deterministically for a fixed seed;
 * **reservation TTL** -- a phase-1 reservation outliving its hold timer
   is discarded by the switch, the walk unwinds with outcome
-  ``expired``, and completed walks cancel their timers.
+  ``expired``, and completed walks cancel their timers;
+* **finished walks are freed** -- outcomes reach the caller through
+  ``on_done`` only, and a failed walk leaves no reference cycle for
+  the cyclic collector.
 
 Scale the interleaving corpus with ``ADMISSION_INTERLEAVINGS`` (the CI
 admission-concurrency job raises it; the local default keeps tier-1
 fast).
 """
 
+import gc
 import os
 import random
+import types
 from fractions import Fraction as F
 
 import pytest
@@ -27,6 +32,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import AdmissionPlane, NetworkCAC
+from repro.core.plane import SetupOutcome
 from repro.exceptions import AdmissionError
 from repro.core.traffic import cbr
 from repro.network.connection import ConnectionRequest
@@ -38,7 +44,8 @@ from repro.robustness.faults import FaultInjector
 from repro.robustness.harness import random_fault_plan
 from repro.robustness.migration import no_double_booking
 from repro.robustness.retry import RetryPolicy
-from repro.sim.engine import Engine
+from repro.sim.engine import Engine, ProcessHandle
+from repro.workload import ChurnEngine, ChurnScenario, make_policy
 from repro.workload.stats import journal_digest_of
 
 INTERLEAVINGS = int(os.environ.get("ADMISSION_INTERLEAVINGS", "25"))
@@ -170,16 +177,19 @@ def bottleneck_requests(network, k):
 
 
 def run_contended(seed, k, hop_latency):
+    """K contending walks; returns the CAC and the outcomes in the
+    order their walks finished (as ``on_done`` delivered them)."""
     net = bottleneck_star()
     cac = NetworkCAC(net, rng=random.Random(seed),
                      hop_latency=hop_latency)
     engine = Engine()
     plane = AdmissionPlane(cac, engine, reservation_ttl=500.0)
+    outcomes = []
     for request in bottleneck_requests(net, k):
-        plane.submit(request)
+        plane.submit(request, on_done=outcomes.append)
     engine.run()
     assert plane.in_flight == 0
-    return cac, plane
+    return cac, outcomes
 
 
 class TestConcurrentInterleavings:
@@ -188,15 +198,15 @@ class TestConcurrentInterleavings:
            hop_latency=st.sampled_from([0.25, 0.5, 1.0, 2.0]))
     def test_contending_setups_never_double_book(self, seed, k,
                                                  hop_latency):
-        cac, plane = run_contended(seed, k, hop_latency)
-        assert len(plane.outcomes) == k
+        cac, outcomes = run_contended(seed, k, hop_latency)
+        assert len(outcomes) == k
         assert no_double_booking(cac)
         for switch in cac.switches().values():
             assert switch.verify_consistency()
             assert not switch.pending, "reservation leaked past its walk"
-        admitted = {o.request.name for o in plane.outcomes if o.admitted}
+        admitted = {o.request.name for o in outcomes if o.admitted}
         assert admitted == set(cac.established)
-        for outcome in plane.outcomes:
+        for outcome in outcomes:
             if not outcome.admitted:
                 assert isinstance(outcome.error, AdmissionError)
 
@@ -206,16 +216,16 @@ class TestConcurrentInterleavings:
         first_cac, first = run_contended(seed, 6, hop_latency=0.5)
         second_cac, second = run_contended(seed, 6, hop_latency=0.5)
         assert journal_digest_of(first_cac) == journal_digest_of(second_cac)
-        assert [o.request.name for o in first.outcomes] == \
-               [o.request.name for o in second.outcomes]
-        assert [o.admitted for o in first.outcomes] == \
-               [o.admitted for o in second.outcomes]
-        assert [o.finished for o in first.outcomes] == \
-               [o.finished for o in second.outcomes]
+        assert [o.request.name for o in first] == \
+               [o.request.name for o in second]
+        assert [o.admitted for o in first] == \
+               [o.admitted for o in second]
+        assert [o.finished for o in first] == \
+               [o.finished for o in second]
 
     def test_contention_actually_rejects_someone(self):
-        cac, plane = run_contended(1, 7, hop_latency=0.5)
-        rejected = [o for o in plane.outcomes if not o.admitted]
+        cac, outcomes = run_contended(1, 7, hop_latency=0.5)
+        rejected = [o for o in outcomes if not o.admitted]
         assert rejected, "corpus scenario admits everyone; no contention"
         assert len(cac.established) >= 1
 
@@ -307,12 +317,71 @@ class TestPlaneLifecycle:
 
     def test_in_flight_counts_every_submitted_walk(self):
         cac, engine, plane, request = two_hop_setup(reservation_ttl=None)
-        plane.submit(request)
+        done = []
+        plane.submit(request, on_done=done.append)
         assert plane.in_flight == 1
         engine.run()
         assert plane.in_flight == 0
-        assert len(plane.outcomes) == 1
+        assert len(done) == 1
 
     def test_repr_is_cheap_and_honest(self):
         cac, engine, plane, request = two_hop_setup(reservation_ttl=7.5)
         assert "ttl=7.5" in repr(plane)
+
+
+def garbage_after(action):
+    """Unreachable objects ``action()`` leaves for the cyclic collector."""
+    gc.collect()
+    gc.disable()
+    try:
+        action()
+        return gc.collect()
+    finally:
+        gc.enable()
+
+
+def live_walk_objects():
+    """Finished-walk debris still reachable: outcomes, handles,
+    tracebacks."""
+    kinds = (SetupOutcome, ProcessHandle, types.TracebackType)
+    return sum(isinstance(o, kinds) for o in gc.get_objects())
+
+
+class TestFinishedWalksAreFreed:
+    def test_failed_processes_leave_no_cycles(self):
+        # A stored error's traceback must not reach the handle's own
+        # ``_step`` frame, or handle -> error -> traceback -> frame ->
+        # handle is a cycle only the cyclic collector frees.
+        def failing():
+            yield 1.0
+            raise AdmissionError("refused")
+
+        def run():
+            engine = Engine()
+            handles = [engine.process(failing()) for _ in range(5)]
+            engine.run()
+            assert all(isinstance(h.error, AdmissionError)
+                       for h in handles)
+
+        assert garbage_after(run) == 0
+
+    def test_plane_churn_keeps_no_finished_walk(self):
+        scenario = ChurnScenario(
+            topology="dual-ring", nodes=6, bound=48.0, rate=0.15,
+            offered_load=4.0, mean_holding=400.0, policy="k-alternate",
+            k=2, setup_latency=2.0, reservation_ttl=40.0, seed=11)
+        network = scenario.build_network()
+        cac = NetworkCAC(network, rng=random.Random(11),
+                         hop_latency=scenario.setup_latency)
+        churn = ChurnEngine(
+            cac, [scenario.traffic_class()],
+            pairs=scenario.build_pairs(network), seed=11,
+            policy=make_policy(scenario.policy, scenario.k),
+            setup_latency=scenario.setup_latency,
+            reservation_ttl=scenario.reservation_ttl)
+        gc.collect()  # count both sides on a collected heap
+        before = live_walk_objects()
+        assert garbage_after(lambda: churn.run(max_events=200)) == 0
+        blocked = [row for row in churn.ledger if row.outcome == "blocked"]
+        assert blocked, "no walk failed; the run shows nothing"
+        assert live_walk_objects() == before

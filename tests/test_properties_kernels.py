@@ -1,10 +1,10 @@
 """Property tests: the float list kernels agree with the exact path.
 
-Every strategy generates exact :class:`fractions.Fraction` streams, runs
+The agreement tests generate exact :class:`fractions.Fraction` streams, run
 the algorithm on them (which always takes the scalar exact path -- a
-kernel is never built for Fraction inputs), then re-runs the algorithm
+kernel is never built for Fraction inputs), then re-run the algorithm
 on the float twins produced by :meth:`BitStream.as_floats` (which
-always take the :mod:`repro.core.kernels` float path) and asserts
+always take the :mod:`repro.core.kernels` float path) and assert
 agreement to within 1e-9.
 
 The generated fractions have small denominators, so exact values near
@@ -14,6 +14,11 @@ at least ~1e-6 away from it, far beyond float round-off.  Branch
 decisions therefore never flip between the two paths and ``inf``
 results must match exactly.
 
+The results a float input's filtering, clumping and adding to the
+zero stream build in kernel form are compared with the generic route
+on float and mixed int/float streams: the same tuples, type for type,
+and the kernel of exactly those tuples.
+
 Agreement within 1e-9 cannot see a reordered float operation, so the
 end of the module pins the kernels bit for bit: a SHA-256 over the
 ``float.hex`` of every output of a seeded float corpus, and a literal
@@ -22,16 +27,29 @@ razor-edge pair whose interference rises above rate 1 by float noise.
 
 import hashlib
 import math
+import operator
+import os
 import random
 from fractions import Fraction as F
 
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from repro.core.bitstream import BitStream, ZERO_STREAM, aggregate
+from repro.core.bitstream import (
+    BitStream,
+    ZERO_STREAM,
+    _cap_with_envelope,
+    _merge,
+    aggregate,
+)
 from repro.core.delay_bound import backlog_bound_with_higher, delay_bound
+from repro.core.kernels import build_kernel
 from repro.core.traffic import VBRParameters
 
 TOLERANCE = 1e-9
+
+#: Examples per kernel-route identity property; the CI job without
+#: NumPy raises it.
+ROUTE_EXAMPLES = int(os.environ.get("KERNEL_ROUTE_EXAMPLES", "150"))
 
 fractions_01 = st.fractions(min_value=F(1, 20), max_value=1,
                             max_denominator=20)
@@ -197,6 +215,122 @@ def test_kernel_delay_bound_matches_scalar_floats(arrivals, interference):
 
 
 # ----------------------------------------------------------------------
+# Kernel routes of the write path: identical tuples, kernel attached
+# ----------------------------------------------------------------------
+
+ULP = 2.0 ** -52
+
+#: Rates and gaps: ints, eighths (so crossings land exactly on
+#: breakpoints) and arbitrary floats.
+mixed_values = st.one_of(
+    st.integers(min_value=1, max_value=3),
+    st.integers(min_value=1, max_value=24).map(lambda n: n / 8),
+    st.floats(min_value=0.01, max_value=3.0),
+)
+
+
+@st.composite
+def mixed_streams(draw, top=3.0):
+    """A float or mixed int/float stream with at least one float.
+
+    Rates are non-increasing and at most ``top``, possibly with an int
+    head, a rise of a few ulps or a demultiplexing residue as the tail
+    rate (``-3e-17`` canonicalizes to ``-0.0``).
+    """
+    count = draw(st.integers(min_value=1, max_value=5))
+    rates = sorted((min(value, top) for value in draw(
+        st.lists(mixed_values, min_size=count, max_size=count))),
+        reverse=True)
+    if draw(st.booleans()):
+        rates[0] = int(top)
+    if count > 1 and draw(st.booleans()):
+        k = draw(st.integers(min_value=1, max_value=count - 1))
+        rates[k] = rates[k - 1] * (1.0 + draw(st.integers(1, 4)) * ULP)
+    times = [draw(st.sampled_from([0, 0.0]))]
+    for gap in draw(st.lists(mixed_values, min_size=count - 1,
+                             max_size=count - 1)):
+        times.append(times[-1] + gap)
+    if draw(st.booleans()):
+        rates.append(draw(st.sampled_from([5e-16, -3e-17, -0.0, 0.0])))
+        times.append(times[-1] + draw(mixed_values))
+    if not any(isinstance(value, float) for value in rates + times):
+        times[-1] = float(times[-1])
+    return BitStream(rates, times)
+
+
+def _kernel_view(kernel):
+    return None if kernel is None else (repr(kernel.rates),
+                                         repr(kernel.times))
+
+
+def assert_route_identity(result, reference):
+    """Same tuples type for type, and the kernel of exactly those."""
+    assert repr(result) == repr(reference)
+    assert _kernel_view(result.kernel) == _kernel_view(
+        build_kernel(reference.rates, reference.times))
+
+
+@settings(max_examples=ROUTE_EXAMPLES, deadline=None)
+@given(mixed_streams(), st.sampled_from([1, 1, 0.75, 1.5, 2]))
+@example(BitStream([2, 0.5, 0.25], [0.0, 1, 3]), 1)  # crossing on t(2)
+@example(BitStream([2.0, 1.0], [0, 2.5]), 1)  # saturated
+@example(BitStream([3, 1, 0.5], [0, 2, 5.5]), 1)  # int head
+@example(BitStream([2.0, 0.5, -0.0], [0.0, 1.0, 9.0]), 1)  # -0.0 residue
+@example(BitStream([2.0, 0.5, 5e-16], [0.0, 1.0, 9.0]), 1)  # 5e-16 residue
+@example(BitStream([2.0, 1.0 - 2.0 ** -40, 1.0 + 2.0 ** -40],
+                   [0.0, 1.0, 1.0 + 2.0 ** 40]), 1)  # lands above the cap
+@example(BitStream([2.0, 1.0 - 2.0 ** -40, 1.0],
+                   [0.0, 1.0, 1.0 + 2.0 ** 40]), 1)  # lands on the cap
+# The backlog drains to exactly 0 at the int breakpoint 59 by round-off,
+# so the crossing is that int object; in the second no float is left.
+@example(BitStream([4.75, 0.32500000000000007, 0.16250000000000003],
+                   [0, 9, 59]), 1)
+@example(BitStream([4.75, 0.32500000000000007, 0], [0, 9, 59]), 1)
+def test_filtered_route_is_type_exact(stream, capacity):
+    result = stream.filtered(capacity)
+    reference = (stream if stream.peak_rate <= capacity else
+                 _cap_with_envelope(_scalar_only(stream), capacity, 0))
+    assert_route_identity(result, reference)
+
+
+@settings(max_examples=ROUTE_EXAMPLES, deadline=None)
+@given(mixed_streams(top=1.0),
+       st.one_of(st.integers(min_value=0, max_value=40),
+                 st.floats(min_value=0.0, max_value=40.0),
+                 st.integers(min_value=1, max_value=80).map(
+                     lambda n: n / 4)))
+@example(BitStream([1, 0.25], [0, 4.0]), 3.0)  # int head
+@example(BitStream([1, 0.5, 0.25], [0, 1, 3]), 2)  # int times and CDV
+@example(BitStream([1.0, 0.5, -0.0], [0.0, 2.0, 7.0]), 1.5)  # residue
+@example(BitStream([1.0], [0.0]), 4.0)  # saturated
+def test_delayed_route_is_type_exact(stream, cdv):
+    result = stream.delayed(cdv)
+    if cdv == 0 or stream.is_zero:
+        reference = stream
+    else:
+        reference = _cap_with_envelope(
+            _scalar_only(stream._shifted_left(cdv)), 1, stream.bits(cdv))
+    assert_route_identity(result, reference)
+
+
+@settings(max_examples=ROUTE_EXAMPLES, deadline=None)
+@given(mixed_streams(), mixed_streams())
+@example(BitStream([1, 0.4, 0.04], [0, 1, 18.5]), ZERO_STREAM)  # an envelope
+@example(BitStream([1, 0.4, -0.0], [0.0, 1, 3]), ZERO_STREAM)  # 0 + -0.0
+@example(BitStream([2, 1], [0.0, 3]), ZERO_STREAM)  # t(0): the only float
+@example(BitStream([0.5], [-0.0]), ZERO_STREAM)  # a -0.0 t(0)
+def test_zero_plus_route_is_type_exact(stream, total):
+    reference = _merge(ZERO_STREAM, stream, operator.add)
+    assert_route_identity(ZERO_STREAM + stream, reference)
+    assert_route_identity(ZERO_STREAM.patched(ZERO_STREAM, stream),
+                          reference)
+    # An empty slot of a nonempty sum keeps the generic merges: the
+    # kernel merge would turn the sum's ints into floats.
+    assert repr(total.patched(ZERO_STREAM, stream)) == repr(_merge(
+        _merge(total, ZERO_STREAM, operator.sub), stream, operator.add))
+
+
+# ----------------------------------------------------------------------
 # Bit-identity pins
 # ----------------------------------------------------------------------
 
@@ -218,8 +352,6 @@ def test_interference_above_link_rate_by_float_noise():
     # "amount must be non-negative" here.
     assert float(delay_bound(*RAZOR_PAIR)).hex() == "0x1.7393e032e1c9fp+5"
 
-
-ULP = 2.0 ** -52
 
 #: SHA-256 of :func:`_corpus_digest`, recorded from the NumPy kernels the
 #: list kernels replaced; any reordered float operation changes it.

@@ -3,19 +3,31 @@
 Three reuses, each counted at the call it saves: a reserve after an
 exact check installs the check's what-if aggregates, routes are
 enumerated once per topology, and each hop's Step 1 stream is built
-once per descriptor and CDV.  The bit-identity of all three is pinned
-elsewhere (the float recovery test, the ring-analysis goldens and the
-benchmark digests); these tests pin the saving itself.
+once per descriptor and CDV.  A fourth keeps the float write path in
+kernel form: filtering, clumping and adding to an empty slot no longer
+build their results through the scalar constructor.  The bit-identity
+of all four is pinned elsewhere (the float recovery test, the
+ring-analysis goldens, the kernel-route properties and the benchmark
+digests); these tests pin the saving itself.
 """
 
+import random
 from fractions import Fraction as F
 
 from repro.core import BitStream, NetworkCAC, SwitchCAC, cbr
+from repro.core import bitstream
 from repro.core.admission import _STREAM_MEMO_SIZE
+from repro.core.traffic import VBRParameters
 from repro.network import ConnectionRequest
 from repro.network.routing import alternate_paths
 from repro.network.topology import Network, line_network
 from repro.rtnet import build_rtnet
+from repro.workload import (
+    ChurnEngine,
+    TrafficClass,
+    make_policy,
+    opposite_pairs,
+)
 
 
 def count_calls(monkeypatch, owner, name):
@@ -70,3 +82,31 @@ def test_hop_stream_memo_is_bounded():
             ConnectionRequest("vc", traffic, route), 1)
         assert stream == traffic.worst_case_stream().delayed(32)
         assert len(cac._hop_streams) <= _STREAM_MEMO_SIZE
+
+
+def scalar_builds(monkeypatch, events):
+    """Scalar ``BitStream.__init__`` and ``_merge`` calls of a seeded
+    two-priority VBR churn run (the vbr-2prio benchmark traffic)."""
+    inits = count_calls(monkeypatch, BitStream, "__init__")
+    merges = count_calls(monkeypatch, bitstream, "_merge")
+    network = build_rtnet(6, 2, bounds={0: 32.0, 1: 96.0}, dual_ring=True)
+    classes = [
+        TrafficClass(name, traffic, arrival_rate=load / (traffic.scr * 400),
+                     mean_holding=400.0, priority=priority)
+        for name, traffic, priority, load in (
+            ("ctl", VBRParameters(pcr=0.4, scr=0.04, mbs=8), 0, 0.3),
+            ("bulk", VBRParameters(pcr=0.5, scr=0.08, mbs=24), 1, 0.8))]
+    ChurnEngine(NetworkCAC(network, rng=random.Random(11)), classes,
+                pairs=opposite_pairs(6, 2), seed=11,
+                policy=make_policy("k-alternate", 2)).run(max_events=events)
+    count = len(inits) + len(merges)
+    monkeypatch.undo()
+    return count
+
+
+def test_float_write_path_stays_in_kernel_form(monkeypatch):
+    """Scalar constructions are a constant of the topology: what is left
+    is the first input on each port's sum (the kernel merge would turn
+    the sum's ints into floats) and the few memoized hop streams."""
+    assert scalar_builds(monkeypatch, 500) == scalar_builds(monkeypatch,
+                                                            1500)
