@@ -11,16 +11,14 @@ Installed as ``repro-eval`` (or run as ``python -m repro.cli``):
    repro-eval fig13
    repro-eval vbr --mbs 1 8 16
    repro-eval failover --terminals 1 16
-   repro-eval chaos --link ring0->ring1 --policy migrate-or-drop
    repro-eval obs --prom           # instrumented plant-mix run, metrics dump
    repro-eval churn --loads 0.5 2 4 --policy k-alternate --seed 7
-   repro-eval profile --events 800 --json   # where does admission time go?
    repro-eval --csv fig10          # machine-readable output
    repro-eval --version
 
-Randomized subcommands (``churn``, ``chaos``) take ``--seed`` (default
-0) and are bit-identically reproducible for a given seed; everything
-else is closed-form analysis and draws no randomness at all.  An
+The randomized subcommand, ``churn``, takes ``--seed`` (default 0) and
+is bit-identically reproducible for a given seed; everything else is
+closed-form analysis and draws no randomness at all.  An
 argument the traffic model or the topology rejects (``fig10
 --terminals 0``) ends in one ``repro-eval: error:`` line and exit
 status 2, like any other bad usage.
@@ -103,26 +101,6 @@ def build_parser() -> argparse.ArgumentParser:
                           default=[1, 4, 8, 16])
     failover.add_argument("--ring-nodes", type=int, default=16)
 
-    chaos = sub.add_parser(
-        "chaos", help="fail a ring link mid-service and migrate around it")
-    chaos.add_argument("--ring-nodes", type=int, default=8)
-    chaos.add_argument("--sets-per-node", type=int, default=1,
-                       help="Table 1 class sets per ring node "
-                            "(3 terminals each)")
-    chaos.add_argument("--link", default=None,
-                       help="link to fail (default: first primary "
-                            "ring link)")
-    chaos.add_argument("--policy", choices=["migrate-or-drop",
-                                            "migrate-or-keep"],
-                       default="migrate-or-drop")
-    chaos.add_argument("--obs", action="store_true",
-                       help="run instrumented and dump the "
-                            "survivability counters")
-    chaos.add_argument("--seed", type=int, default=0,
-                       help="seed for the CAC's retry-jitter RNG "
-                            "(default 0; equal seeds reproduce the "
-                            "study bit for bit)")
-
     churn = sub.add_parser(
         "churn", help="seeded dynamic traffic: blocking vs offered load")
     churn.add_argument("--loads", type=float, nargs="+",
@@ -168,35 +146,6 @@ def build_parser() -> argparse.ArgumentParser:
     churn.add_argument("--json", action="store_true",
                        help="emit the curve as a JSON document instead "
                             "of a table (the CI artifact format)")
-
-    profile = sub.add_parser(
-        "profile", help="cProfile a seeded churn run; where does admission "
-                        "time go?")
-    profile.add_argument("--events", type=int, default=800,
-                         help="hard churn-event budget of the profiled run")
-    profile.add_argument("--seed", type=int, default=11,
-                         help="churn seed (equal seeds profile the exact "
-                              "same run)")
-    profile.add_argument("--load", type=float, default=4.0,
-                         help="offered load (normalized bandwidth demand)")
-    profile.add_argument("--topology", choices=["star", "dual-ring"],
-                         default="dual-ring")
-    profile.add_argument("--nodes", type=int, default=6,
-                         help="terminals (star) or ring nodes (dual-ring)")
-    profile.add_argument("--setup-latency", type=float, default=2.0,
-                         help="per-hop signaling transit time; > 0 profiles "
-                              "the event-driven admission plane")
-    profile.add_argument("--reservation-ttl", type=float, default=40.0,
-                         help="phase-1 reservation hold time (cell times)")
-    profile.add_argument("--fast-path", choices=["on", "off", "auto"],
-                         default="auto",
-                         help="force the screened (on) or exact (off) "
-                              "admission path; auto defers to CAC_FAST_PATH")
-    profile.add_argument("--top", type=int, default=15,
-                         help="rows of the cumulative-time table to keep")
-    profile.add_argument("--json", action="store_true",
-                         help="emit the profile as a JSON document (the CI "
-                              "artifact format)")
 
     obs_cmd = sub.add_parser(
         "obs", help="run the Table 1 plant mix instrumented; dump metrics")
@@ -311,51 +260,6 @@ def _run_failover(args) -> None:
           "Failover: capacity before/after a single ring failure")
 
 
-def _run_chaos(args) -> None:
-    from .rtnet.failover import failover_migration_study
-
-    def study():
-        return failover_migration_study(
-            ring_nodes=args.ring_nodes, sets_per_node=args.sets_per_node,
-            link=args.link, policy=args.policy, seed=args.seed,
-        )
-
-    if args.obs:
-        from . import obs
-        from .obs.clock import ManualClock
-
-        obs.enable(clock_source=ManualClock())
-        try:
-            result = study()
-        finally:
-            obs.disable()
-    else:
-        result = study()
-
-    latency = (round(result.detection_latency, 1)
-               if result.detection_latency is not None else "undetected")
-    rows = [
-        ["terminals", result.terminals],
-        ["established", result.established],
-        ["refused", result.refused],
-        ["failed link", result.link],
-        ["policy", result.policy],
-        ["probes to detect", result.probes_to_detect],
-        ["detection latency", latency],
-        ["migrated", len(result.migrated)],
-        ["dropped", len(result.dropped)],
-        ["kept", len(result.kept)],
-        ["open hops", ", ".join(result.open_hops) or "none"],
-        ["breaker reclosed", result.breaker_reclosed],
-        ["booking safe", result.booking_safe],
-    ]
-    _emit(args, ["metric", "value"], rows,
-          f"Chaos: live migration around {result.link} "
-          f"({args.ring_nodes} ring nodes)")
-    for key in sorted(result.metrics):
-        print(f"{key} {result.metrics[key]:g}")
-
-
 def _run_obs(args) -> None:
     from . import obs
     from .obs import export
@@ -433,77 +337,6 @@ def _run_churn(args) -> None:
           f"({args.policy}, {args.topology}, seed {args.seed})")
 
 
-def _run_profile(args) -> None:
-    import cProfile
-    import json
-    import pstats
-    import time
-
-    from .workload.churn import ChurnScenario, run_scenario
-
-    fast_path = {"on": True, "off": False, "auto": None}[args.fast_path]
-    scenario = ChurnScenario(
-        topology=args.topology, nodes=args.nodes, bound=48.0, rate=0.15,
-        offered_load=args.load, events=args.events, seed=args.seed, k=2,
-        setup_latency=args.setup_latency,
-        reservation_ttl=args.reservation_ttl, fast_path=fast_path,
-    )
-    run_scenario(scenario)          # warm-up run stays outside the profile
-    profiler = cProfile.Profile()
-    start = time.perf_counter()
-    profiler.enable()
-    run_scenario(scenario)
-    profiler.disable()
-    elapsed = time.perf_counter() - start
-    events_per_sec = args.events / elapsed if elapsed > 0 else float("inf")
-
-    stats = pstats.Stats(profiler)
-    stats.sort_stats("cumulative")
-    top = []
-    for key in stats.fcn_list:                  # already cumulative-sorted
-        filename, line, function = key
-        if filename.startswith("~") or "cProfile" in filename:
-            continue                            # profiler bookkeeping frames
-        _cc, ncalls, tottime, cumtime, _callers = stats.stats[key]
-        top.append({
-            "function": function,
-            "file": filename,
-            "line": line,
-            "ncalls": ncalls,
-            "tottime_s": round(tottime, 6),
-            "cumtime_s": round(cumtime, 6),
-        })
-        if len(top) >= args.top:
-            break
-
-    if args.json:
-        print(json.dumps({
-            "topology": args.topology,
-            "nodes": args.nodes,
-            "events": args.events,
-            "seed": args.seed,
-            "offered_load": args.load,
-            "setup_latency": args.setup_latency,
-            "reservation_ttl": args.reservation_ttl,
-            "fast_path": args.fast_path,
-            "elapsed_s": round(elapsed, 6),
-            "events_per_sec": round(events_per_sec, 1),
-            "top": top,
-        }, indent=2))
-        return
-    rows = [
-        [entry["function"],
-         f"{entry['file'].rsplit('/', 1)[-1]}:{entry['line']}",
-         entry["ncalls"], round(entry["tottime_s"], 4),
-         round(entry["cumtime_s"], 4)]
-        for entry in top
-    ]
-    _emit(args, ["function", "where", "ncalls", "tottime_s", "cumtime_s"],
-          rows,
-          f"Profile: {args.events} churn events in {elapsed:.2f}s "
-          f"({events_per_sec:.0f} events/s, fast path {args.fast_path})")
-
-
 _RUNNERS = {
     "table1": _run_table1,
     "fig10": _run_fig10,
@@ -512,10 +345,8 @@ _RUNNERS = {
     "fig13": _run_fig13,
     "vbr": _run_vbr,
     "failover": _run_failover,
-    "chaos": _run_chaos,
     "obs": _run_obs,
     "churn": _run_churn,
-    "profile": _run_profile,
 }
 
 

@@ -23,9 +23,7 @@ state and can also answer hypothetical (non-mutating) queries.
 from __future__ import annotations
 
 import random
-from dataclasses import replace
 from typing import (
-    AbstractSet,
     Any,
     Callable,
     Dict,
@@ -41,10 +39,7 @@ from typing import (
 
 from ..exceptions import (
     AdmissionError,
-    LinkDown,
-    MigrationError,
     QosUnsatisfiable,
-    RoutingError,
     SignalingTimeout,
     SwitchRejection,
     SwitchUnavailable,
@@ -54,12 +49,11 @@ from ..network.connection import (
     EstablishedConnection,
     HopCommitment,
 )
-from ..network.routing import Route, shortest_path
+from ..network.routing import Route
 from ..network.signaling import (
     AbortMessage,
     CommitMessage,
     ConnectedMessage,
-    ProbeMessage,
     RejectMessage,
     ReleaseMessage,
     SetupMessage,
@@ -70,18 +64,8 @@ from ..network.signaling import (
 from ..network.topology import Network
 from ..obs import metrics as _om
 from ..obs import spans as _ospans
-from ..obs.clock import Clock, ManualClock
-from ..robustness.breaker import BreakerBoard, CircuitBreaker
+from ..obs.clock import ManualClock
 from ..robustness.faults import FaultInjector
-from ..robustness.health import HealthMonitor
-from ..robustness.migration import (
-    DROPPED,
-    KEPT,
-    MIGRATED,
-    POLICIES,
-    MigrationJournal,
-    MigrationReport,
-)
 from ..robustness.retry import RetryPolicy
 from .accumulation import CdvPolicy, make_policy
 from .bitstream import BitStream, Number
@@ -123,8 +107,8 @@ class NetworkCAC:
         Simulated time source and backoff-jitter randomness, injected
         so fault schedules replay deterministically.  The clock is
         shared across all walks of this instance; the event-driven
-        admission plane rebinds it to an
-        :class:`~repro.obs.clock.EngineClock` via :meth:`bind_clock`.
+        admission plane replaces it with an
+        :class:`~repro.obs.clock.EngineClock`.
     hop_latency:
         Nominal per-direction signaling transit time per hop, forwarded
         to every channel; zero keeps the paper's instantaneous-exchange
@@ -135,20 +119,6 @@ class NetworkCAC:
         the exact delay-bound evaluation (decision-identical either
         way; see ``docs/performance.md``).  ``None`` defers to the
         ``CAC_FAST_PATH`` environment switch.
-    breaker_threshold / breaker_reset_timeout:
-        Circuit-breaker tuning: consecutive delivery failures that trip
-        a hop's breaker open, and how long (simulated time) the breaker
-        fast-fails before letting a half-open probe through (see
-        ``docs/robustness.md``).
-    suspicion_threshold:
-        Consecutive timeouts before the :attr:`health` monitor declares
-        a link or switch down.
-
-    Every instance owns a survivability layer: :attr:`health` (the
-    failure detector fed by delivery outcomes), :attr:`breakers` (one
-    circuit breaker per signaling hop, with the epoch-reconciliation
-    close hook installed) and :attr:`migration_journal` (the network
-    level record of every live migration).
 
     Examples
     --------
@@ -173,9 +143,6 @@ class NetworkCAC:
                  hop_timeout: float = 8.0,
                  clock: Optional[ManualClock] = None,
                  rng: Optional[random.Random] = None,
-                 breaker_threshold: int = 3,
-                 breaker_reset_timeout: float = 64.0,
-                 suspicion_threshold: int = 3,
                  hop_latency: float = 0.0,
                  fast_path: Optional[bool] = None):
         self.network = network
@@ -191,22 +158,8 @@ class NetworkCAC:
         self._established: Dict[str, EstablishedConnection] = {}
         #: Step 1 streams by (descriptor stream key, CDV, CDV type).
         self._hop_streams: Dict[tuple, BitStream] = {}
-        #: leg ids of walks currently in flight, so a breaker closing
-        #: mid-walk cannot reconcile away a half-committed booking
+        #: names of the walks in flight; recover_switch keeps their legs
         self._in_flight: Set[str] = set()
-        self.health = HealthMonitor(
-            clock=self.clock, suspicion_threshold=suspicion_threshold,
-        )
-        self.breakers = BreakerBoard(
-            clock=self.clock, failure_threshold=breaker_threshold,
-            reset_timeout=breaker_reset_timeout,
-            on_close=self._reconcile_breaker,
-        )
-        self.migration_journal = MigrationJournal()
-        if fault_injector is not None:
-            # Ground-truth failure instants, for the detection-latency
-            # histogram only (the detector itself sees just silence).
-            fault_injector.add_link_listener(self.health.link_listener())
         for switch in network.switches():
             cac = SwitchCAC(
                 switch.name, filter_per_input=filter_per_input,
@@ -237,35 +190,18 @@ class NetworkCAC:
         """All currently established connections, keyed by name."""
         return dict(self._established)
 
-    def _channel(self, trace: Optional[SignalingTrace],
-                 retry_policy: Optional[RetryPolicy] = None,
-                 ) -> SignalingChannel:
+    def _channel(self, trace: Optional[SignalingTrace]) -> SignalingChannel:
         """The signaling transport for one walk, sharing this CAC's clock."""
         return SignalingChannel(
             injector=self.fault_injector,
-            retry_policy=retry_policy or self.retry_policy,
+            retry_policy=self.retry_policy,
             clock=self.clock,
             rng=self.rng,
             hop_timeout=self.hop_timeout,
             trace=trace,
             crash_switch=lambda name: self._switches[name].crash(),
-            breakers=self.breakers,
-            health=self.health,
             hop_latency=self.hop_latency,
         )
-
-    def bind_clock(self, clock: Clock) -> None:
-        """Move this CAC (and its survivability layer) onto ``clock``.
-
-        The admission plane calls this with an
-        :class:`~repro.obs.clock.EngineClock` so walks, breakers and the
-        health monitor all read the one simulation timeline.  Channels
-        are created per walk, so they pick the new clock up
-        automatically.
-        """
-        self.clock = clock
-        self.health.bind_clock(clock)
-        self.breakers.bind_clock(clock)
 
     # ------------------------------------------------------------------
     # Setup / teardown
@@ -347,37 +283,13 @@ class NetworkCAC:
         Yields every elapse of simulated time; the admission plane runs
         this via :meth:`Engine.process <repro.sim.engine.Engine.process>`
         so N setups can be in flight concurrently, while :meth:`setup`
-        drains it synchronously against the CAC clock.
-        ``on_reserved(switch, leg_id)`` observes each successful phase-1
-        reservation (the plane arms its TTL hold timers there).
-        """
-        if request.name in self._established:
-            raise AdmissionError(
-                f"connection {request.name!r} is already established"
-            )
-        return (yield from self._establish_steps(request, trace,
-                                                 on_reserved=on_reserved))
+        drains it synchronously against the CAC clock (see
+        :func:`~repro.network.signaling.drain_steps`).  Every per-hop
+        exchange is a ``yield from`` of the channel's
+        :meth:`~repro.network.signaling.SignalingChannel.deliver_steps`,
+        and every switch on the route books the leg under the
+        connection name.
 
-    def _establish_steps(self, request: ConnectionRequest,
-                         trace: Optional[SignalingTrace],
-                         switch_id: Optional[str] = None,
-                         generation: int = 0,
-                         on_reserved: Optional[
-                             Callable[[str, str], None]] = None):
-        """The two-phase walk behind :meth:`setup` and :meth:`migrate`.
-
-        ``switch_id`` is the id the per-switch legs are booked under --
-        the plain connection name for an original admission, a
-        versioned ``name@g<n>`` id for a migration, so the old and new
-        generations coexist at any shared switch during the
-        make-before-break window.  On success the established record
-        (of the given ``generation``) is registered under the plain
-        name, *replacing* any previous generation: that swap is the
-        migration's cutover.
-
-        A step generator (see :func:`~repro.network.signaling.drain_steps`):
-        every per-hop exchange is a ``yield from`` of the channel's
-        :meth:`~repro.network.signaling.SignalingChannel.deliver_steps`.
         ``on_reserved(switch, leg_id)`` fires after each successful
         phase-1 reservation -- the admission plane arms that hop's TTL
         hold timer there.  A reservation the TTL discarded before the
@@ -386,7 +298,11 @@ class NetworkCAC:
         unwinds the walk with outcome ``expired`` (unreachable in the
         synchronous mode, where no timer can interleave).
         """
-        leg_id = switch_id if switch_id is not None else request.name
+        if request.name in self._established:
+            raise AdmissionError(
+                f"connection {request.name!r} is already established"
+            )
+        leg_id = request.name
         registry = _om.get_registry()
         started = self.clock.now()
 
@@ -474,16 +390,13 @@ class NetworkCAC:
                             leg_id, process_commit,
                         )
                 except AdmissionError as failure:
-                    # A refusal, an exhausted retry budget, an open
-                    # breaker (fast-failed without a single timeout) or
-                    # -- only in the event-driven mode -- a commit whose
+                    # A refusal, an exhausted retry budget or -- only in
+                    # the event-driven mode -- a commit whose
                     # reservation the TTL hold timer already discarded.
                     if isinstance(failure, SwitchRejection):
                         outcome, node = "rejected", failure.switch
                     elif isinstance(failure, SignalingTimeout):
                         outcome, node = "timeout", failure.at_node
-                    elif isinstance(failure, LinkDown):
-                        outcome, node = "link-down", failure.at_node
                     else:
                         outcome, node = "expired", request.route.source
                     setup_span.tag(outcome=outcome)
@@ -499,10 +412,7 @@ class NetworkCAC:
         finally:
             self._in_flight.discard(leg_id)
 
-        established = EstablishedConnection(
-            request, tuple(committed),
-            generation=generation, switch_id=switch_id,
-        )
+        established = EstablishedConnection(request, tuple(committed))
         self._established[request.name] = established
         if trace is not None:
             trace.record(ConnectedMessage(
@@ -523,17 +433,16 @@ class NetworkCAC:
         ``hops`` yields ``(hop index, hop)`` pairs in the caller's order:
         a failed walk sends an ABORT (``phase="abort"``,
         :class:`AbortMessage`) upstream from the last hop it touched; a
-        teardown or a migration's cutover sends a RELEASE
-        (``phase="release"``, :class:`ReleaseMessage`) down the route of
-        the generation it is handed.  Every message applies the
+        teardown sends a RELEASE (``phase="release"``,
+        :class:`ReleaseMessage`) down the route.  Every message applies the
         idempotent :meth:`SwitchCAC.rollback`, so hops that never
         reserved (the message was lost before arriving) or that see a
         message twice are no-ops.  A crashed switch is skipped: its
         journal recovery discards uncommitted reservations, and
         :meth:`recover_switch` reconciles anything it had committed.  If
-        the message cannot be delivered (timeout or an open breaker),
-        the switch discards the booking on its own once its holder falls
-        silent (reservation expiry), modelled here as a direct rollback.
+        the message cannot be delivered (timeout), the switch discards
+        the booking on its own once its holder falls silent (reservation
+        expiry), modelled here as a direct rollback.
         """
         for index, hop in hops:
             cac = self._switches[hop.switch]
@@ -549,7 +458,7 @@ class NetworkCAC:
                 yield from channel.deliver_steps(
                     phase, index, hop.switch, hop.in_link, leg_id, process,
                 )
-            except (SignalingTimeout, LinkDown):
+            except SignalingTimeout:
                 try:
                     cac.rollback(leg_id)
                 except SwitchUnavailable:
@@ -611,7 +520,7 @@ class NetworkCAC:
         except KeyError:
             raise AdmissionError(f"no established connection {name!r}") from None
         yield from self._unwind_steps(
-            established.leg_name, "release", ReleaseMessage,
+            name, "release", ReleaseMessage,
             enumerate(established.hops), self._channel(trace), trace)
         registry = _om.get_registry()
         if registry.enabled:
@@ -631,264 +540,15 @@ class NetworkCAC:
         """
         cac = self.switch(name)
         cac.recover()
-        self._reconcile_switch(cac)
-        return cac
-
-    def _reconcile_switch(self, cac: SwitchCAC) -> None:
-        """Release every leg the network no longer accounts for.
-
-        The active set is keyed by :attr:`EstablishedConnection.leg_name`
-        (migrations book under versioned ids), plus the legs of any walk
-        currently in flight -- a breaker closing mid-commit-wave must
-        not reconcile away a booking that is about to register.
-        """
-        active = {c.leg_name for c in self._established.values()}
+        # The legs of walks still in flight stay too: in the event-driven
+        # mode a recovery can run while a walk is mid-commit-wave, and
+        # its committed legs are about to register.
+        active = set(self._established)
         active.update(self._in_flight)
         for connection_id in list(cac.legs):
             if connection_id not in active:
                 cac.rollback(connection_id)
-
-    # ------------------------------------------------------------------
-    # Survivability: probing, breaker reconciliation, live migration
-    # ------------------------------------------------------------------
-
-    def _reconcile_breaker(self, breaker: CircuitBreaker) -> None:
-        """The breaker-close hook: reconcile the switch *before* trust.
-
-        Runs on every half-open -> closed transition, before the
-        breaker actually closes.  A switch that crashed behind the open
-        breaker is brought back through :meth:`recover_switch` (journal
-        replay plus reconciliation); one that restarted on its own --
-        detectable because its crash epoch moved past the breaker's
-        last known epoch -- gets the same orphan-leg reconciliation, so
-        bookings the network unwound or migrated away while the hop was
-        dark are released before any new traffic books through it.
-        """
-        cac = self._switches.get(breaker.node)
-        if cac is None:
-            return  # terminal hop: no CAC state to reconcile
-        if cac.crashed:
-            self.recover_switch(breaker.node)
-        else:
-            self._reconcile_switch(cac)
-        breaker.known_epoch = cac.epoch
-
-    def probe(self, hops: Optional[Iterable[Tuple[str, str]]] = None,
-              trace: Optional[SignalingTrace] = None) -> Dict[str, bool]:
-        """Actively probe signaling hops; returns ``{target: alive}``.
-
-        ``hops`` is an iterable of ``(switch, in_link)`` pairs;
-        ``None`` probes every link entering a switch.  Each probe is a
-        single non-retried delivery of a PING the switch answers with
-        its crash epoch (:meth:`SwitchCAC.ping`), so a probe through an
-        open breaker fast-fails, a probe after ``reset_timeout`` *is*
-        the breaker's half-open trial (closing it on success, after
-        reconciliation), and a lost probe counts as failure evidence
-        for both the breaker and the health monitor.  Targets are keyed
-        ``link@switch`` like the breaker metrics.
-        """
-        if hops is None:
-            hops = [(link.dst, link.name) for link in self.network.links()
-                    if link.dst in self._switches]
-        channel = self._channel(trace, retry_policy=RetryPolicy(
-            max_attempts=1,
-        ))
-        results: Dict[str, bool] = {}
-        for node, link in hops:
-            cac = self.switch(node)
-            epoch: Optional[int] = None
-
-            def process_ping(cac=cac):
-                return cac.ping()
-
-            try:
-                epoch = channel.deliver(
-                    "probe", 0, node, link, f"probe:{link}@{node}",
-                    process_ping,
-                )
-            except (SignalingTimeout, LinkDown):
-                ok = False
-            else:
-                ok = True
-                self.breakers.breaker(node, link).known_epoch = epoch
-            if trace is not None:
-                trace.record(ProbeMessage(node, link, ok, epoch))
-            results[f"{link}@{node}"] = ok
-        return results
-
-    def _count_migration(self, outcome: str) -> None:
-        registry = _om.get_registry()
-        if registry.enabled:
-            registry.counter("cac_migrations_total", outcome=outcome).inc()
-
-    def migrate(self, name: str, avoid: AbstractSet[str],
-                trace: Optional[SignalingTrace] = None,
-                ) -> EstablishedConnection:
-        """Move one established connection off the avoided elements.
-
-        Make-before-break: the detour (shortest path ``avoid``-ing the
-        given links/switches) is fully reserved and committed under a
-        fresh generation id *while the old route stays booked*; only
-        then does the cutover swap the established record and release
-        the old generation's legs.  Any failure -- no detour exists, or
-        the detour's walk is refused or times out -- raises
-        :class:`~repro.exceptions.MigrationError` with the old route
-        untouched (the failed walk unwinds its own reservations), so
-        the migration is atomic.  Every step is journaled in
-        :attr:`migration_journal`.
-        """
-        return drain_steps(self.migrate_steps(name, avoid, trace),
-                           self.clock)
-
-    def migrate_steps(self, name: str, avoid: AbstractSet[str],
-                      trace: Optional[SignalingTrace] = None):
-        """:meth:`migrate` as a step generator (for the engine mode)."""
-        established = self._established.get(name)
-        if established is None:
-            raise AdmissionError(f"no established connection {name!r}")
-        route = established.request.route
-        generation = established.generation + 1
-        with _ospans.span("admission.migrate", connection=name,
-                          generation=generation) as migrate_span:
-            try:
-                detour = shortest_path(
-                    self.network, route.source, route.destination,
-                    avoid=frozenset(avoid),
-                )
-            except RoutingError as exc:
-                migrate_span.tag(outcome="no-route")
-                self._count_migration("failed")
-                self.migration_journal.append(
-                    "failed", name, generation, detail=str(exc))
-                raise MigrationError(name, str(exc)) from exc
-            switch_id = f"{name}@g{generation}"
-            self.migration_journal.append(
-                "start", name, generation,
-                detail=" ".join(detour.link_names))
-            new_request = replace(established.request, route=detour)
-            try:
-                connection = yield from self._establish_steps(
-                    new_request, trace,
-                    switch_id=switch_id, generation=generation,
-                )
-            except AdmissionError as exc:
-                migrate_span.tag(outcome="refused")
-                self._count_migration("failed")
-                self.migration_journal.append(
-                    "failed", name, generation, detail=str(exc))
-                raise MigrationError(name, str(exc)) from exc
-            # _establish_steps registered the new generation under the
-            # plain name: that swap was the cutover.  Release exactly the
-            # superseded generation.
-            self.migration_journal.append("cutover", name, generation)
-            yield from self._unwind_steps(
-                established.leg_name, "release", ReleaseMessage,
-                enumerate(established.hops), self._channel(trace), trace)
-            self.migration_journal.append("released", name, generation)
-            self._count_migration(MIGRATED)
-            self.migration_journal.append("done", name, generation)
-            migrate_span.tag(outcome="migrated")
-        return connection
-
-    def handle_link_failure(self, link: str,
-                            policy: str = "migrate-or-drop",
-                            trace: Optional[SignalingTrace] = None,
-                            ) -> MigrationReport:
-        """Migrate every connection routed over a failed link.
-
-        ``policy`` decides the fate of victims no detour can carry:
-        ``"migrate-or-drop"`` tears them down (capacity released, the
-        guarantee honestly revoked), ``"migrate-or-keep"`` leaves them
-        booked on the dead route awaiting repair.  Victims are handled
-        in name order for determinism.
-        """
-        return drain_steps(
-            self.handle_link_failure_steps(link, policy, trace), self.clock)
-
-    def handle_link_failure_steps(self, link: str,
-                                  policy: str = "migrate-or-drop",
-                                  trace: Optional[SignalingTrace] = None):
-        """:meth:`handle_link_failure` as a step generator."""
-        self.network.link(link)
-        victims = [
-            connection
-            for _name, connection in sorted(self._established.items())
-            if any(hop.in_link == link or hop.out_link == link
-                   for hop in connection.hops)
-        ]
-        return (yield from self._handle_failure_steps(
-            link, "link", frozenset((link,)), victims, policy, trace))
-
-    def handle_switch_failure(self, switch: str,
-                              policy: str = "migrate-or-drop",
-                              trace: Optional[SignalingTrace] = None,
-                              ) -> MigrationReport:
-        """Migrate every connection routed through a failed switch."""
-        return drain_steps(
-            self.handle_switch_failure_steps(switch, policy, trace),
-            self.clock)
-
-    def handle_switch_failure_steps(self, switch: str,
-                                    policy: str = "migrate-or-drop",
-                                    trace: Optional[SignalingTrace] = None):
-        """:meth:`handle_switch_failure` as a step generator."""
-        self.switch(switch)
-        victims = [
-            connection
-            for _name, connection in sorted(self._established.items())
-            if any(hop.switch == switch for hop in connection.hops)
-        ]
-        return (yield from self._handle_failure_steps(
-            switch, "switch", frozenset((switch,)), victims, policy, trace))
-
-    def _handle_failure_steps(self, trigger: str, kind: str,
-                              avoid: AbstractSet[str],
-                              victims: Sequence[EstablishedConnection],
-                              policy: str,
-                              trace: Optional[SignalingTrace],
-                              ):
-        if policy not in POLICIES:
-            raise ValueError(
-                f"unknown migration policy {policy!r}; expected one of "
-                f"{POLICIES}"
-            )
-        migrated: List[str] = []
-        dropped: List[str] = []
-        kept: List[str] = []
-        failures: Dict[str, str] = {}
-        with _ospans.span("admission.handle_failure", trigger=trigger,
-                          kind=kind, policy=policy,
-                          victims=len(victims)) as failure_span:
-            for victim in victims:
-                try:
-                    yield from self.migrate_steps(victim.name, avoid,
-                                                  trace=trace)
-                except MigrationError as exc:
-                    failures[victim.name] = str(exc.reason)
-                    if policy == "migrate-or-drop":
-                        yield from self.teardown_steps(victim.name,
-                                                       trace=trace)
-                        self._count_migration(DROPPED)
-                        self.migration_journal.append(
-                            "dropped", victim.name,
-                            victim.generation + 1, detail=trigger)
-                        dropped.append(victim.name)
-                    else:
-                        self._count_migration(KEPT)
-                        self.migration_journal.append(
-                            "kept", victim.name,
-                            victim.generation + 1, detail=trigger)
-                        kept.append(victim.name)
-                else:
-                    migrated.append(victim.name)
-            failure_span.tag(migrated=len(migrated), dropped=len(dropped),
-                             kept=len(kept))
-        return MigrationReport(
-            trigger=trigger, kind=kind, policy=policy,
-            migrated=tuple(migrated), dropped=tuple(dropped),
-            kept=tuple(kept), failures=failures,
-            detection_latency=self.health.detection_latency(trigger),
-        )
+        return cac
 
     def setup_all(self, requests: Iterable[ConnectionRequest]) -> List[EstablishedConnection]:
         """Establish several connections; unwind all of them on failure.

@@ -10,11 +10,11 @@ that compete for the same ports.
 
 :class:`AdmissionPlane` closes that gap without forking the protocol
 logic.  Every walk already exists as a *step generator*
-(:meth:`NetworkCAC.setup_steps` and friends -- see
-:func:`~repro.network.signaling.drain_steps`); the plane runs those very
-generators as :meth:`Engine.process <repro.sim.engine.Engine.process>`
-processes on a shared :class:`~repro.sim.engine.Engine`, after rebinding
-the CAC (health monitor and breakers included) onto an
+(:meth:`NetworkCAC.setup_steps` and :meth:`NetworkCAC.teardown_steps`
+-- see :func:`~repro.network.signaling.drain_steps`); the plane runs
+those very generators as :meth:`Engine.process
+<repro.sim.engine.Engine.process>` processes on a shared
+:class:`~repro.sim.engine.Engine`, after setting the CAC's clock to an
 :class:`~repro.obs.clock.EngineClock`.  Because the engine fires events
 in deterministic ``(time, sequence)`` order, N concurrent walks resolve
 their conflicts deterministically: whoever's RESERVE event fires first
@@ -40,8 +40,9 @@ the same connection id (e.g. a crankback retry over another route).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import AbstractSet, Callable, Dict, Optional
+from typing import Callable, Dict, Optional
 
 from ..exceptions import SwitchUnavailable
 from ..network.connection import ConnectionRequest, EstablishedConnection
@@ -85,38 +86,43 @@ class AdmissionPlane:
     Parameters
     ----------
     cac:
-        The network CAC whose walks this plane drives.  Its clock (and
-        its health monitor's and breaker board's) is rebound to the
-        engine's timeline at construction -- after that, the
-        synchronous CAC API must not be used to *advance* time on this
-        instance (instantaneous queries like :meth:`NetworkCAC.would_admit`
-        remain fine, and so do whole synchronous walks as long as no
-        faults or latency make them wait: an
+        The network CAC whose walks this plane drives.  Its clock is
+        replaced by the engine's timeline at construction -- after
+        that, the synchronous CAC API must not be used to *advance*
+        time on this instance (instantaneous queries like
+        :meth:`NetworkCAC.would_admit` remain fine, and so do whole
+        synchronous walks as long as no faults or latency make them
+        wait: an
         :class:`~repro.obs.clock.EngineClock` rejects nonzero advances).
     engine:
         The shared :class:`~repro.sim.engine.Engine`; callers drive it
         (``engine.run(...)``) to make submitted walks progress.
     reservation_ttl:
         Hold time of a phase-1 reservation before the switch discards
-        it, in engine time units; ``None`` disables expiry.
+        it, in engine time units (finite and positive); ``None``
+        disables expiry.
     """
 
     def __init__(self, cac: NetworkCAC, engine: Engine,
                  reservation_ttl: Optional[float] = None):
-        if reservation_ttl is not None and reservation_ttl <= 0:
+        if reservation_ttl is not None and not (
+                math.isfinite(reservation_ttl) and reservation_ttl > 0):
             raise ValueError(
-                f"reservation_ttl must be positive, got {reservation_ttl}"
+                f"reservation_ttl must be finite and positive, got "
+                f"{reservation_ttl}"
             )
         self.cac = cac
         self.engine = engine
         self.reservation_ttl = reservation_ttl
         self.clock = EngineClock(engine)
-        cac.bind_clock(self.clock)
+        # Channels are created per walk, so every later walk reads the
+        # engine's timeline.
+        cac.clock = self.clock
         self._in_flight = 0
 
     @property
     def in_flight(self) -> int:
-        """Walks submitted (setups and failure handlers) not yet done."""
+        """Walks submitted (setups and teardowns) not yet done."""
         return self._in_flight
 
     # ------------------------------------------------------------------
@@ -191,59 +197,20 @@ class AdmissionPlane:
         self._in_flight += 1
         return self.engine.process(steps(), on_done=finish)
 
-    # ------------------------------------------------------------------
-    # The rest of the admission API, as engine processes
-    # ------------------------------------------------------------------
-
-    def _submit_steps(self, steps,
-                      on_done: Optional[Callable[[ProcessHandle], None]],
-                      ) -> ProcessHandle:
-        def finish(process: ProcessHandle) -> None:
-            self._in_flight -= 1
-            if on_done is not None:
-                on_done(process)
-
-        self._in_flight += 1
-        return self.engine.process(steps, on_done=finish)
-
     def submit_teardown(self, name: str,
                         trace: Optional[SignalingTrace] = None,
                         on_done: Optional[
                             Callable[[ProcessHandle], None]] = None,
                         ) -> ProcessHandle:
         """Release an established connection, hop by hop, in engine time."""
-        return self._submit_steps(
-            self.cac.teardown_steps(name, trace), on_done)
+        def finish(process: ProcessHandle) -> None:
+            self._in_flight -= 1
+            if on_done is not None:
+                on_done(process)
 
-    def submit_migrate(self, name: str, avoid: AbstractSet[str],
-                       trace: Optional[SignalingTrace] = None,
-                       on_done: Optional[
-                           Callable[[ProcessHandle], None]] = None,
-                       ) -> ProcessHandle:
-        """Run one make-before-break migration as an engine process."""
-        return self._submit_steps(
-            self.cac.migrate_steps(name, avoid, trace), on_done)
-
-    def submit_link_failure(self, link: str,
-                            policy: str = "migrate-or-drop",
-                            trace: Optional[SignalingTrace] = None,
-                            on_done: Optional[
-                                Callable[[ProcessHandle], None]] = None,
-                            ) -> ProcessHandle:
-        """Handle a link failure (migrations included) in engine time."""
-        return self._submit_steps(
-            self.cac.handle_link_failure_steps(link, policy, trace), on_done)
-
-    def submit_switch_failure(self, switch: str,
-                              policy: str = "migrate-or-drop",
-                              trace: Optional[SignalingTrace] = None,
-                              on_done: Optional[
-                                  Callable[[ProcessHandle], None]] = None,
-                              ) -> ProcessHandle:
-        """Handle a switch failure (migrations included) in engine time."""
-        return self._submit_steps(
-            self.cac.handle_switch_failure_steps(switch, policy, trace),
-            on_done)
+        self._in_flight += 1
+        return self.engine.process(self.cac.teardown_steps(name, trace),
+                                   on_done=finish)
 
     def __repr__(self) -> str:
         return (

@@ -275,9 +275,6 @@ class SwitchCAC:
         #: stable storage: survives crash(), drives recover().
         self._journal = AdmissionJournal()
         self._crashed = False
-        #: bumped on every crash; lets the network tell "same switch"
-        #: from "switch that died and came back" (see docs/robustness.md)
-        self._epoch = 0
         #: pre-bound metric handles (re-bound when the registry changes)
         self._obs = _SwitchMetrics(_om.get_registry(), name)
 
@@ -392,28 +389,6 @@ class SwitchCAC:
     def crashed(self) -> bool:
         """True between :meth:`crash` and :meth:`recover`."""
         return self._crashed
-
-    @property
-    def epoch(self) -> int:
-        """Crash epoch: 0 at boot, +1 per :meth:`crash`.
-
-        The epoch survives recovery (it is *not* reset), so a peer that
-        cached the epoch before a crash can detect -- via :meth:`ping`
-        -- that the switch it is talking to lost its volatile state in
-        between, and reconcile before trusting it again.
-        """
-        return self._epoch
-
-    def ping(self) -> int:
-        """Liveness probe: the current epoch, or :class:`SwitchUnavailable`.
-
-        The circuit breaker's half-open probe: cheap (no CAC state is
-        touched), refuses while crashed, and returns the epoch stamp so
-        the caller can tell whether the switch died and recovered since
-        it last looked.
-        """
-        self._ensure_up()
-        return self._epoch
 
     def _ensure_up(self) -> None:
         """Refuse CAC work while the volatile state is gone."""
@@ -887,7 +862,6 @@ class SwitchCAC:
         operation raises :class:`~repro.exceptions.SwitchUnavailable`.
         """
         self._crashed = True
-        self._epoch += 1
         self._clear()
 
     def recover(self) -> None:

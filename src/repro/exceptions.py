@@ -126,59 +126,6 @@ class SwitchUnavailable(AdmissionError):
         )
 
 
-class LinkDown(AdmissionError):
-    """A delivery was refused because the link is known to be down.
-
-    Raised by the circuit-breaker fast-fail path instead of burning a
-    full retry budget per message: once the breaker for a hop is open
-    (or the health monitor has declared the link down), further
-    deliveries over it fail immediately.
-
-    Remediation: repair the link (``FaultInjector.restore_link``) and
-    let a half-open probe close the breaker, or move the traffic off
-    the link with :meth:`repro.core.admission.NetworkCAC.handle_link_failure`.
-    """
-
-    def __init__(self, connection: str, at_node: str, link: str,
-                 phase: str = "deliver"):
-        self.connection = connection
-        self.at_node = at_node
-        self.link = link
-        self.phase = phase
-        super().__init__(
-            f"{phase} message for connection {connection!r} fast-failed: "
-            f"link {link!r} to node {at_node!r} is down (circuit open). "
-            f"Restore the link and let a half-open probe close the "
-            f"breaker, or migrate the affected connections with "
-            f"NetworkCAC.handle_link_failure()."
-        )
-
-
-class MigrationError(AdmissionError):
-    """A make-before-break connection migration could not complete.
-
-    ``reason`` says what failed (no alternate route, alternate route
-    refused admission, QoS unsatisfiable on the detour); the old
-    connection is left exactly as it was -- the new route is reserved
-    *before* the old legs are released, and a failed reservation is
-    unwound atomically.
-
-    Remediation: free capacity on an alternate route (tear down
-    lower-priority connections), relax the requested delay bound, or
-    fall back to a drop-and-readmit policy
-    (``policy="migrate-or-drop"``).
-    """
-
-    def __init__(self, connection: str, reason: str):
-        self.connection = connection
-        self.reason = reason
-        super().__init__(
-            f"cannot migrate connection {connection!r}: {reason}. The old "
-            f"route is unchanged; free capacity on a detour, relax the "
-            f"delay bound, or use policy='migrate-or-drop'."
-        )
-
-
 class QosUnsatisfiable(AdmissionError):
     """The route's accumulated advertised bound exceeds the requested QoS."""
 

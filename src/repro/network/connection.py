@@ -85,33 +85,17 @@ class EstablishedConnection:
 
     The hard guarantee is :attr:`e2e_bound`: no cell will be queued for
     longer than this many cell times in total, as long as the source
-    honours its traffic contract.
-
-    ``generation`` counts live migrations: generation 0 is the original
-    admission, each make-before-break migration (see
-    ``docs/robustness.md``) bumps it.  ``switch_id`` is the identifier
-    the per-switch legs of *this generation* are booked under --
-    migrations book the new route under a fresh id so old and new
-    routes can coexist during the make-before-break window without the
-    switches confusing the two bookings; ``None`` (generation 0) means
-    the plain connection name.
+    honours its traffic contract.  Every switch on the route books the
+    connection's leg under :attr:`name`.
     """
 
     request: ConnectionRequest
     hops: Tuple[HopCommitment, ...]
-    generation: int = 0
-    switch_id: Optional[str] = None
 
     @property
     def name(self) -> str:
         """The connection identifier."""
         return self.request.name
-
-    @property
-    def leg_name(self) -> str:
-        """The id this generation's legs are booked under at switches."""
-        return self.switch_id if self.switch_id is not None else \
-            self.request.name
 
     @property
     def e2e_bound(self) -> Number:

@@ -147,8 +147,7 @@ def shortest_path(network: Network, src: str, dst: str,
     system, though they may start or end at one.
 
     ``avoid`` names links and/or intermediate nodes the path must not
-    use -- how the survivability layer routes around a failed link or a
-    crashed switch when migrating established connections.  Avoided
+    use, e.g. to route around a failed link or a crashed switch.  Avoided
     names are matched against both link and node names; ``src`` and
     ``dst`` themselves cannot be avoided.
     """

@@ -12,7 +12,9 @@ assumption: :class:`SignalingChannel` delivers every message with a
 per-hop timeout, bounded retries (exponential backoff + full jitter via
 :mod:`repro.robustness.retry`) and an optional
 :class:`~repro.robustness.faults.FaultInjector` that can drop, delay or
-duplicate the message, crash the receiving switch, or fail the link.
+duplicate the message, crash the receiving switch, or fail the link (a
+failed link stays down for the injector's lifetime, so every later
+delivery over it is lost and times out).
 :class:`repro.core.admission.NetworkCAC` drives the two-phase
 reserve -> commit walk over this channel; the message classes here exist
 so the walk can be *observed* -- examples and tests inspect the trace to
@@ -27,16 +29,10 @@ from dataclasses import dataclass, field, fields as dataclass_fields
 from typing import Callable, List, Optional, TypeVar, Union
 
 from ..core.bitstream import Number
-from ..exceptions import (
-    LinkDown,
-    RetryExhausted,
-    SignalingTimeout,
-    SwitchUnavailable,
-)
+from ..exceptions import RetryExhausted, SignalingTimeout, SwitchUnavailable
 from ..obs import events as _oevents
 from ..obs import metrics as _om
 from ..obs.clock import ManualClock
-from ..robustness.breaker import BreakerBoard
 from ..robustness.faults import (
     CRASH,
     DELAY,
@@ -45,7 +41,6 @@ from ..robustness.faults import (
     LINK_FAIL,
     FaultInjector,
 )
-from ..robustness.health import HealthMonitor
 from ..robustness.retry import RetryPolicy
 
 __all__ = [
@@ -55,7 +50,6 @@ __all__ = [
     "ReleaseMessage",
     "CommitMessage",
     "AbortMessage",
-    "ProbeMessage",
     "FaultEvent",
     "RetryEvent",
     "SignalingTrace",
@@ -129,22 +123,6 @@ class AbortMessage:
 
 
 @dataclass(frozen=True)
-class ProbeMessage:
-    """One liveness probe of a hop (health monitor / breaker half-open).
-
-    ``ok`` reports whether the probe got a timely response; ``epoch``
-    carries the probed switch's crash epoch when it answered (``None``
-    on a lost probe), which is what the epoch-reconciliation check
-    compares before a breaker closes.
-    """
-
-    at_node: str
-    link: str
-    ok: bool
-    epoch: Optional[int] = None
-
-
-@dataclass(frozen=True)
 class FaultEvent:
     """An injected fault striking one delivery attempt.
 
@@ -180,7 +158,6 @@ Message = Union[
     ReleaseMessage,
     CommitMessage,
     AbortMessage,
-    ProbeMessage,
     FaultEvent,
     RetryEvent,
 ]
@@ -194,7 +171,6 @@ _EVENT_NAMES = {
     "ReleaseMessage": "release",
     "CommitMessage": "commit",
     "AbortMessage": "abort",
-    "ProbeMessage": "probe",
     "FaultEvent": "fault",
     "RetryEvent": "retry",
 }
@@ -283,17 +259,6 @@ class SignalingChannel:
         :class:`FaultEvent`/:class:`RetryEvent` records.
     crash_switch:
         Callback crashing the named switch (a ``CRASH`` fault fires it).
-    breakers:
-        Optional :class:`~repro.robustness.breaker.BreakerBoard`.  When
-        given, every delivery first consults the hop's circuit breaker:
-        an *open* breaker fast-fails the delivery with
-        :class:`~repro.exceptions.LinkDown` -- zero timeouts, zero
-        retransmissions -- and final outcomes (success / retry
-        exhaustion) feed the breaker's state machine.
-    health:
-        Optional :class:`~repro.robustness.health.HealthMonitor` fed the
-        same final outcomes, for both the link (kind ``"link"``) and the
-        receiving node (kind ``"switch"``).
     hop_latency:
         Nominal per-direction transit time of one message over one hop.
         Zero (the default) reproduces the instantaneous-exchange model;
@@ -326,8 +291,6 @@ class SignalingChannel:
                  hop_timeout: float = 8.0,
                  trace: Optional[SignalingTrace] = None,
                  crash_switch: Optional[Callable[[str], None]] = None,
-                 breakers: Optional[BreakerBoard] = None,
-                 health: Optional[HealthMonitor] = None,
                  hop_latency: float = 0.0):
         if hop_timeout <= 0:
             raise ValueError(f"hop_timeout must be positive, got {hop_timeout}")
@@ -343,8 +306,6 @@ class SignalingChannel:
         self.hop_latency = hop_latency
         self.trace = trace
         self.crash_switch = crash_switch
-        self.breakers = breakers
-        self.health = health
         # Channels are per-walk and short-lived; binding the registry
         # once at construction is cheap and good enough.
         self._registry = _om.get_registry()
@@ -445,16 +406,6 @@ class SignalingChannel:
         *or* as an engine process.
         """
         registry = self._registry
-        breaker = self.breakers.breaker(at_node, link) \
-            if self.breakers is not None else None
-        if breaker is not None and not breaker.allow():
-            if registry.enabled:
-                registry.counter("signaling_fast_fails_total",
-                                 phase=phase).inc()
-            self._record_fault(connection, at_node, phase, hop,
-                               "fast-fail", detail=link)
-            raise LinkDown(connection, at_node, link, phase)
-
         policy = self.retry_policy
         sent_at = self.clock.now()
         try:
@@ -486,19 +437,9 @@ class SignalingChannel:
             if registry.enabled:
                 registry.counter("signaling_timeouts_total",
                                  phase=phase).inc()
-            if breaker is not None:
-                breaker.record_failure()
-            if self.health is not None:
-                self.health.record_timeout(link, kind="link")
-                self.health.record_timeout(at_node, kind="switch")
             raise SignalingTimeout(
                 connection, at_node, phase, exhausted.attempts,
             ) from exhausted
-        if breaker is not None:
-            breaker.record_success()
-        if self.health is not None:
-            self.health.record_success(link, kind="link")
-            self.health.record_success(at_node, kind="switch")
         if registry.enabled:
             registry.counter("signaling_messages_total", phase=phase).inc()
             registry.histogram(
@@ -517,10 +458,6 @@ class SignalingChannel:
         because a REJECT *is* a response.  Raises
         :class:`~repro.exceptions.SignalingTimeout` once the retry
         budget is exhausted.
-
-        With a breaker board attached, an *open* breaker on this hop
-        fast-fails the delivery instead: :class:`LinkDown` is raised
-        immediately, no timeout is spent and nothing is retransmitted.
 
         Synchronous wrapper: drains :meth:`deliver_steps`, turning each
         yielded wait into a ``clock.advance``.

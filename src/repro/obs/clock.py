@@ -12,8 +12,8 @@ exactly three implementations:
   synchronous protocol machinery;
 * :class:`EngineClock` -- an adapter reading the shared
   :class:`~repro.sim.engine.Engine` simulation clock, so the admission
-  plane, retry backoff, health suspicion and breaker reset timers all
-  tick on *one* discrete-event timeline.
+  plane's walks, retry backoff and reservation timers all tick on
+  *one* discrete-event timeline.
 
 ``EngineClock`` deliberately refuses :meth:`EngineClock.advance` with a
 nonzero delta: engine time moves only when scheduled events fire, so
@@ -40,8 +40,8 @@ __all__ = [
 @runtime_checkable
 class Clock(Protocol):
     """Anything that can answer "what time is it?" -- the one protocol
-    every time source in the repo (observability, retry backoff, health
-    suspicion, breaker resets, the admission plane) is typed against."""
+    every time source in the repo (observability, retry backoff, the
+    admission plane) is typed against."""
 
     def now(self) -> float:
         """Current time in this clock's units."""
@@ -94,8 +94,8 @@ class EngineClock:
     """Adapter exposing an :class:`~repro.sim.engine.Engine` as a Clock.
 
     ``now()`` reads the engine's simulation time, so components built
-    against the :class:`Clock` protocol (health monitor, breakers,
-    metrics timestamps, the signaling channel) all see the one shared
+    against the :class:`Clock` protocol (the network CAC, metrics
+    timestamps, the signaling channel) all see the one shared
     discrete-event timeline.  ``advance`` exists only so synchronous
     zero-wait call sites keep working: a nonzero delta is refused,
     because engine time moves exclusively through scheduled events.

@@ -19,29 +19,13 @@ assumption so partial reservations can never be stranded:
 * :mod:`repro.robustness.harness` -- the randomized fault-schedule
   property harness: for seeded schedules it asserts that post-fault
   network state equals a from-scratch replay of only the committed
-  connections;
-* :mod:`repro.robustness.health` -- the live failure detector: per-link
-  and per-switch suspicion state machines fed by observed delivery
-  outcomes, with flap damping;
-* :mod:`repro.robustness.breaker` -- per-hop circuit breakers that
-  fast-fail deliveries into a dead hop and reconcile the switch before
-  readmitting traffic;
-* :mod:`repro.robustness.migration` -- make-before-break migration
-  primitives: policies, the network-level migration journal, and the
-  :func:`no_double_booking` safety invariant.
+  connections, and that no switch books a leg the network does not
+  account for (:func:`no_double_booking`).
 
-See ``docs/robustness.md`` for the fault model, the two-phase
-reserve/commit walk, and the failure-detection/migration layer these
-pieces support.
+See ``docs/robustness.md`` for the fault model and the two-phase
+reserve/commit walk these pieces support.
 """
 
-from .breaker import (
-    CLOSED,
-    HALF_OPEN,
-    OPEN,
-    BreakerBoard,
-    CircuitBreaker,
-)
 from .faults import (
     CRASH,
     DELAY,
@@ -53,18 +37,7 @@ from .faults import (
     FaultPlan,
     FaultSpec,
 )
-from .health import DOWN, SUSPECT, UP, HealthMonitor, TargetHealth
 from .journal import AdmissionJournal, JournalEntry
-from .migration import (
-    DROPPED,
-    KEPT,
-    MIGRATED,
-    POLICIES,
-    MigrationJournal,
-    MigrationRecord,
-    MigrationReport,
-    no_double_booking,
-)
 from .retry import RetryPolicy
 
 #: Harness exports resolved lazily (PEP 562): the harness drives
@@ -76,6 +49,7 @@ _HARNESS_EXPORTS = (
     "random_fault_plan",
     "run_schedule",
     "committed_states_equal",
+    "no_double_booking",
 )
 
 
@@ -102,30 +76,10 @@ __all__ = [
     # journal
     "JournalEntry",
     "AdmissionJournal",
-    # health
-    "UP",
-    "SUSPECT",
-    "DOWN",
-    "TargetHealth",
-    "HealthMonitor",
-    # breaker
-    "CLOSED",
-    "OPEN",
-    "HALF_OPEN",
-    "CircuitBreaker",
-    "BreakerBoard",
-    # migration
-    "MIGRATED",
-    "DROPPED",
-    "KEPT",
-    "POLICIES",
-    "MigrationRecord",
-    "MigrationJournal",
-    "MigrationReport",
-    "no_double_booking",
     # harness
     "ScheduleReport",
     "random_fault_plan",
     "run_schedule",
     "committed_states_equal",
+    "no_double_booking",
 ]

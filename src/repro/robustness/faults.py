@@ -17,8 +17,8 @@ re-processing a duplicate) lives in
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, List, Optional, Set, Tuple
+from dataclasses import dataclass
+from typing import Iterable, List, Optional, Set, Tuple
 
 __all__ = [
     "DROP",
@@ -51,12 +51,8 @@ LINK_FAIL = "link-fail"
 
 FAULT_KINDS = frozenset({DROP, DELAY, DUPLICATE, CRASH, LINK_FAIL})
 
-#: Walk phases a fault can target.  :data:`PHASES` is what the random
-#: harness draws from; ``"probe"`` (health-monitor/breaker probes) is a
-#: valid spec target too but is excluded from the random draw so
-#: pre-existing seeded schedules stay bit-identical.
+#: Walk phases a fault can target (and the random harness draws from).
 PHASES = ("reserve", "commit", "abort", "release")
-ALL_PHASES = PHASES + ("probe",)
 
 
 @dataclass(frozen=True)
@@ -94,10 +90,10 @@ class FaultSpec:
                 f"unknown fault kind {self.kind!r}; expected one of "
                 f"{sorted(FAULT_KINDS)}"
             )
-        if self.phase != "*" and self.phase not in ALL_PHASES:
+        if self.phase != "*" and self.phase not in PHASES:
             raise ValueError(
                 f"unknown phase {self.phase!r}; expected '*' or one of "
-                f"{ALL_PHASES}"
+                f"{PHASES}"
             )
         if self.hop < 0:
             raise ValueError(f"hop index must be >= 0, got {self.hop}")
@@ -149,7 +145,6 @@ class FaultInjector:
             [spec, spec.count] for spec in self.plan
         ]
         self._failed_links: Set[str] = set()
-        self._link_listeners: List[Callable[[str, bool], None]] = []
         self.injected: List[Tuple[FaultSpec, Tuple[str, int, Optional[str]]]] = []
 
     def intercept(self, phase: str, hop: int,
@@ -165,48 +160,12 @@ class FaultInjector:
         return struck
 
     def fail_link(self, link: str) -> None:
-        """Mark a link as down: every delivery over it is lost.
-
-        Down until :meth:`restore_link` brings it back -- which lets
-        fault schedules model *transient* failures and lets a circuit
-        breaker's half-open probe eventually succeed.
-        """
-        if link in self._failed_links:
-            return
+        """Mark a link as down: every later delivery over it is lost."""
         self._failed_links.add(link)
-        for listener in self._link_listeners:
-            listener(link, False)
-
-    def restore_link(self, link: str) -> None:
-        """The inverse of :meth:`fail_link`: the link carries traffic again.
-
-        Restoring a link that was never failed is a no-op, so repair
-        schedules compose idempotently.
-        """
-        if link not in self._failed_links:
-            return
-        self._failed_links.discard(link)
-        for listener in self._link_listeners:
-            listener(link, True)
-
-    def add_link_listener(self,
-                          listener: Callable[[str, bool], None]) -> None:
-        """Observe link state changes: ``listener(link, up)``.
-
-        The health monitor subscribes here to timestamp the *ground
-        truth* failure instant, so detection latency (failure ->
-        declared down from observed timeouts) can be measured.
-        """
-        self._link_listeners.append(listener)
 
     def link_down(self, link: str) -> bool:
-        """Has this link failed (and not been restored) so far?"""
+        """Has this link failed so far?"""
         return link in self._failed_links
-
-    @property
-    def failed_links(self) -> Set[str]:
-        """Snapshot of the links failed so far."""
-        return set(self._failed_links)
 
     def exhausted(self) -> bool:
         """True when every planned fault has fired."""

@@ -4,14 +4,17 @@ The robustness contract of the two-phase walk is an *equivalence*: no
 matter which faults strike a batch of setups -- drops, delays,
 duplicates, switch crashes, link failures -- the network must end up in
 exactly the state a fault-free replay of only the successfully
-committed connections produces, and every switch's incremental caches
-must still verify against a from-scratch rebuild.
+committed connections produces, every switch's incremental caches
+must still verify against a from-scratch rebuild, and no switch may
+hold a leg the network does not account for
+(:func:`no_double_booking`).
 
 :func:`run_schedule` executes one seeded schedule end to end (generate
 a random :class:`~repro.robustness.faults.FaultPlan`, attempt every
 request, recover crashed switches, compare against the clean replay)
 and returns a :class:`ScheduleReport`; the property suite and the CI
-stress job run hundreds of them with fixed seeds.
+stress job run hundreds of them with fixed seeds.  A failed link stays
+down for the rest of its schedule.
 """
 
 from __future__ import annotations
@@ -36,16 +39,14 @@ from .faults import (
     FaultSpec,
     PHASES,
 )
-from .migration import POLICIES, no_double_booking
 from .retry import RetryPolicy
 
 __all__ = [
-    "LinkFailureEvent",
     "ScheduleReport",
     "random_fault_plan",
-    "random_link_failures",
     "run_schedule",
     "committed_states_equal",
+    "no_double_booking",
 ]
 
 #: Per-switch journal digest: ``(switch, ((op, connection_id), ...))``
@@ -97,56 +98,6 @@ def random_fault_plan(rng: random.Random, max_hops: int,
     return FaultPlan(faults)
 
 
-@dataclass(frozen=True)
-class LinkFailureEvent:
-    """One mid-workload link failure the schedule injects.
-
-    The link fails after the ``after``-th setup attempt, the network
-    reacts with :meth:`NetworkCAC.handle_link_failure` under the drawn
-    ``policy``, and -- when ``restore`` is set -- the link is repaired
-    right after the migration pass, so later setups may route over it
-    again.
-    """
-
-    after: int
-    link: str
-    policy: str
-    restore: bool
-
-
-def random_link_failures(rng: random.Random, network: Network,
-                         num_requests: int,
-                         count: int) -> Tuple[LinkFailureEvent, ...]:
-    """Draw ``count`` seeded mid-workload link-failure events.
-
-    Fails switch-to-switch links when the topology has any (those are
-    the ones a detour can route around), otherwise any switch output
-    link, so star-shaped topologies still exercise the drop/keep
-    policies.
-    """
-    candidates = sorted(
-        link.name for link in network.links()
-        if network.node(link.src).is_switch
-        and network.node(link.dst).is_switch
-    )
-    if not candidates:
-        candidates = sorted(
-            link.name for link in network.links()
-            if network.node(link.src).is_switch
-        )
-    if not candidates:
-        return ()
-    return tuple(
-        LinkFailureEvent(
-            after=rng.randint(1, num_requests),
-            link=rng.choice(candidates),
-            policy=rng.choice(list(POLICIES)),
-            restore=rng.random() < 0.5,
-        )
-        for _ in range(count)
-    )
-
-
 @dataclass
 class ScheduleReport:
     """What one seeded schedule did and whether the invariants held."""
@@ -163,14 +114,8 @@ class ScheduleReport:
     #: Exact per-switch journal op sequences (see :data:`JournalDigest`);
     #: two runs of one seed must write the same ones.
     journals: JournalDigest = field(default=())
-    #: Mid-workload link failures injected (empty without
-    #: ``link_failures``), and the per-victim outcomes they produced.
-    link_events: Tuple[LinkFailureEvent, ...] = ()
-    migrated: Tuple[str, ...] = ()
-    dropped: Tuple[str, ...] = ()
-    kept: Tuple[str, ...] = ()
     #: Did every switch's committed legs match exactly the established
-    #: connections' current-generation legs after the schedule?
+    #: connections crossing it after the schedule?
     booking_safe: bool = True
 
     @property
@@ -182,26 +127,41 @@ class ScheduleReport:
         return (
             f"ScheduleReport(seed={self.seed}, faults={len(self.plan)}, "
             f"established={len(self.established)}/{len(self.attempted)}, "
-            f"recovered={list(self.recovered)}, "
-            f"migrated={len(self.migrated)}, ok={self.ok})"
+            f"recovered={list(self.recovered)}, ok={self.ok})"
         )
 
 
+def no_double_booking(cac: NetworkCAC) -> bool:
+    """The booking safety invariant.
+
+    Every switch's committed legs must be *exactly* the established
+    connections whose route crosses it -- a leg the network unwound, a
+    connection booked at a switch its route does not visit, a crashed
+    switch or any leftover reservation all fail the check.  Capacity
+    can then be neither double-booked nor leaked.
+    """
+    expected: Dict[str, set] = {name: set() for name in cac.switches()}
+    for connection in cac.established.values():
+        for hop in connection.hops:
+            expected[hop.switch].add(connection.name)
+    for name, switch in cac.switches().items():
+        if switch.crashed:
+            return False
+        if switch.pending:
+            return False
+        if set(switch.legs) != expected[name]:
+            return False
+    return True
+
+
 def committed_states_equal(faulted: NetworkCAC, clean: NetworkCAC,
-                           tolerance: float = 1e-9,
-                           aliases: Optional[Dict[str, str]] = None) -> bool:
+                           tolerance: float = 1e-9) -> bool:
     """Is the post-fault network state the clean replay's state?
 
     Compares, per switch: the committed leg sets, the absence of
     leftover reservations, and every ``Sia`` aggregate; plus the
     established-connection sets and their end-to-end guarantees.
-
-    ``aliases`` maps faulted-side leg ids to the clean-side ids they
-    should be compared under: a migrated connection books its legs
-    under a versioned ``name@g<n>`` id, while the clean replay of its
-    post-migration route books under the plain name.
     """
-    aliases = aliases or {}
     if set(faulted.established) != set(clean.established):
         return False
     for name, connection in faulted.established.items():
@@ -209,8 +169,7 @@ def committed_states_equal(faulted: NetworkCAC, clean: NetworkCAC,
             return False
     for name, cac in faulted.switches().items():
         reference = clean.switch(name)
-        faulted_ids = {aliases.get(leg, leg) for leg in cac.legs}
-        if faulted_ids != set(reference.legs):
+        if set(cac.legs) != set(reference.legs):
             return False
         if cac.pending:
             return False
@@ -230,24 +189,14 @@ def run_schedule(seed: int,
                  retry_policy: Optional[RetryPolicy] = None,
                  hop_timeout: float = 8.0,
                  max_faults: int = 4,
-                 link_failures: int = 0,
                  fast_path: Optional[bool] = None) -> ScheduleReport:
     """Run one seeded fault schedule and check the acceptance properties.
 
     ``network_factory`` must build a fresh, identical topology on every
     call (it is invoked twice: once for the faulted run, once for the
     clean replay); ``request_factory`` maps a network to the ordered
-    connection requests to attempt.
-
-    ``link_failures`` additionally draws that many mid-workload
-    :class:`LinkFailureEvent`\\ s (after the fault plan, so schedules
-    with ``link_failures=0`` stay bit-identical to earlier releases):
-    each fails a link after its ``after``-th setup, runs the live
-    migration pass under the drawn policy, and optionally restores the
-    link.  The clean replay then re-establishes every survivor over its
-    *post-migration* route, and the report checks the
-    :func:`~repro.robustness.migration.no_double_booking` invariant on
-    top of the usual two.
+    connection requests to attempt.  Besides replay equivalence and
+    cache consistency, the report checks :func:`no_double_booking`.
 
     ``fast_path`` is forwarded to both the faulted and the clean-replay
     :class:`NetworkCAC` (None defers to ``CAC_FAST_PATH``); the
@@ -264,8 +213,6 @@ def run_schedule(seed: int,
         rng, max_hops, [request.name for request in requests],
         max_faults=max_faults, hop_timeout=hop_timeout,
     )
-    events = random_link_failures(rng, network, len(requests),
-                                  link_failures) if link_failures else ()
     injector = FaultInjector(plan)
     policy = retry_policy or RetryPolicy(
         max_attempts=3, base_delay=0.5, max_delay=4.0,
@@ -277,29 +224,11 @@ def run_schedule(seed: int,
     )
     trace = SignalingTrace()
     errors: Dict[str, str] = {}
-    migrated: List[str] = []
-    dropped: List[str] = []
-    kept: List[str] = []
-
-    def fire_events(after: int) -> None:
-        for event in events:
-            if event.after != after:
-                continue
-            injector.fail_link(event.link)
-            report = faulted.handle_link_failure(
-                event.link, policy=event.policy, trace=trace)
-            migrated.extend(report.migrated)
-            dropped.extend(report.dropped)
-            kept.extend(report.kept)
-            if event.restore:
-                injector.restore_link(event.link)
-
-    for position, request in enumerate(requests, start=1):
+    for request in requests:
         try:
             faulted.setup(request, trace=trace)
         except AdmissionError as refused:
             errors[request.name] = f"{type(refused).__name__}: {refused}"
-        fire_events(position)
 
     recovered = tuple(sorted(
         name for name, cac in faulted.switches().items() if cac.crashed
@@ -312,20 +241,11 @@ def run_schedule(seed: int,
     )
     booking_safe = no_double_booking(faulted)
 
-    # The clean replay re-runs every survivor's *current* request (a
-    # migrated connection's detour route), under its plain name; the
-    # alias map folds the faulted side's versioned leg ids back onto
-    # the plain names for the comparison.
     clean = NetworkCAC(network_factory(), fast_path=fast_path)
     for request in requests:
-        survivor = faulted.established.get(request.name)
-        if survivor is not None:
-            clean.setup(survivor.request)
-    aliases = {
-        connection.leg_name: connection.name
-        for connection in faulted.established.values()
-    }
-    equivalent = committed_states_equal(faulted, clean, aliases=aliases)
+        if request.name in faulted.established:
+            clean.setup(request)
+    equivalent = committed_states_equal(faulted, clean)
 
     journals: JournalDigest = tuple(
         (name, tuple((entry.op, entry.connection_id)
@@ -344,10 +264,6 @@ def run_schedule(seed: int,
         equivalent=equivalent,
         trace=trace,
         journals=journals,
-        link_events=events,
-        migrated=tuple(migrated),
-        dropped=tuple(dropped),
-        kept=tuple(kept),
         booking_safe=booking_safe,
     )
 

@@ -33,11 +33,9 @@ from .evaluation import (
     vbr_workload,
 )
 from .failover import (
-    MigrationStudy,
     evacuate_switch,
     failover_capacity,
     failover_capacity_curve,
-    failover_migration_study,
     wrapped_analysis,
     wrapped_ring_size,
     wrapped_workload,
@@ -90,8 +88,6 @@ __all__ = [
     "evacuate_switch",
     "failover_capacity",
     "failover_capacity_curve",
-    "MigrationStudy",
-    "failover_migration_study",
     "plant_mix_workload",
     "RingSimulation",
     "BoundComparison",

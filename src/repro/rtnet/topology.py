@@ -48,9 +48,9 @@ def build_rtnet(ring_nodes: int = RING_NODES,
     dual_ring:
         Also build the secondary (counter-rotating) ring links.  The
         healthy-ring analyses keep the default ``False`` -- the
-        secondary ring carries no traffic in normal operation -- but the
-        survivability study needs the reverse direction as detour
-        capacity for live migration.  Note a dual-ring network has two
+        secondary ring carries no traffic in normal operation -- but
+        churn workloads route over both directions (k-alternate
+        crankback uses the reverse ring).  Note a dual-ring network has two
         switch-to-switch out-links per ring node, so
         :func:`~repro.network.routing.ring_walk` (and therefore
         :func:`broadcast_route`) cannot be used on it; route

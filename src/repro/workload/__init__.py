@@ -16,7 +16,7 @@ admits or refuses in steady state.  Three pieces:
   confidence intervals.
 
 See ``docs/architecture.md`` ("Dynamic workloads") for how the pieces
-compose with the survivability layer.
+compose with the admission plane.
 """
 
 from .churn import (
@@ -24,7 +24,6 @@ from .churn import (
     ChurnEngine,
     ChurnRecord,
     ChurnScenario,
-    LinkFailure,
     TrafficClass,
     blocking_curve,
     opposite_pairs,
@@ -56,7 +55,6 @@ __all__ = [
     "ChurnRecord",
     "ChurnScenario",
     "TrafficClass",
-    "LinkFailure",
     "BlockingPoint",
     "blocking_curve",
     "run_scenario",

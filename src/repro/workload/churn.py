@@ -18,10 +18,6 @@ deterministically:
   :meth:`~repro.core.admission.NetworkCAC.teardown` two-phase walks,
   with the route chosen by a pluggable
   :class:`~repro.workload.policies.AdmissionPolicy`;
-* a :class:`LinkFailure` plan can arm mid-run failures -- the fault
-  injector kills the link, live migration moves the victims, and
-  subsequent churn exercises breakers and detour admission on the
-  degraded topology;
 * the run obeys a **hard event budget** (arrivals + departures fired)
   and the analytics trim a **warm-up** prefix before measuring.
 
@@ -33,7 +29,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import partial
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -45,7 +41,6 @@ from ..network.connection import ConnectionRequest
 from ..network.topology import Network, star_network
 from ..obs import events as _oe
 from ..obs import metrics as _om
-from ..robustness.faults import FaultInjector, FaultPlan
 from ..rtnet.topology import build_rtnet, terminal_name
 from ..sim.engine import Engine, EventHandle
 from .policies import AdmissionPolicy, FirstPathPolicy, make_policy
@@ -54,7 +49,6 @@ from .stats import ChurnReport, batch_means, journal_digest_of, summarize
 __all__ = [
     "TrafficClass",
     "ChurnRecord",
-    "LinkFailure",
     "ChurnEngine",
     "ChurnScenario",
     "run_scenario",
@@ -104,9 +98,8 @@ class TrafficClass:
 class ChurnRecord:
     """One ledger row -- plain data, digest-stable.
 
-    ``kind`` is ``"arrival"``, ``"departure"`` or ``"link-fail"`` /
-    ``"link-restore"``; ``outcome`` refines it (``admitted``/``blocked``,
-    ``departed``/``dropped``/``absent``, or a migration summary).
+    ``kind`` is ``"arrival"`` or ``"departure"``; ``outcome`` refines it
+    (``admitted``/``blocked`` or ``departed``/``absent``).
     ``attempts`` counts the candidate routes a setup walked (0 for an
     unroutable pair); ``route`` is the admitted route's link names
     (empty otherwise).
@@ -122,32 +115,13 @@ class ChurnRecord:
     route: Tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
-class LinkFailure:
-    """One armed mid-run link failure.
-
-    At simulated time ``time`` the fault injector downs ``link`` (when
-    the CAC has an injector), live migration runs under ``policy``, and
-    -- when ``restore_after`` is set -- the link is repaired that many
-    cell times later, so later churn can route over it again.
-    """
-
-    time: float
-    link: str
-    policy: str = "migrate-or-drop"
-    restore_after: Optional[float] = None
-
-
 class ChurnEngine:
     """Seeded Poisson churn through a live :class:`NetworkCAC`.
 
     Parameters
     ----------
     cac:
-        The admission controller under load.  Arm it with a
-        :class:`~repro.robustness.faults.FaultInjector` when the run
-        includes :class:`LinkFailure` events, so signalling over dead
-        links actually times out and trips breakers.
+        The admission controller under load.
     classes:
         The traffic mix.  Classes with ``arrival_rate == 0`` are inert.
     pairs:
@@ -163,11 +137,11 @@ class ChurnEngine:
         the arrival process -- the basis of every policy comparison.
     warmup:
         Default warm-up trim (simulated time) for :meth:`report`.
-    failures:
-        The armed :class:`LinkFailure` plan.
     setup_latency / reservation_ttl:
-        The nonzero-setup-time model.  When either is set the engine
-        switches to the event-driven admission plane
+        The nonzero-setup-time model (``setup_latency`` finite and
+        ``>= 0``, ``reservation_ttl`` ``None`` or finite and ``> 0``).
+        When either is set the engine switches to the event-driven
+        admission plane
         (:class:`~repro.core.plane.AdmissionPlane`): every arrival
         *launches* its setup walk and the connection only starts its
         holding time once the walk commits, ``setup_latency`` per hop
@@ -202,7 +176,6 @@ class ChurnEngine:
                  seed: int = 0,
                  policy: Optional[AdmissionPolicy] = None,
                  warmup: float = 0.0,
-                 failures: Sequence[LinkFailure] = (),
                  setup_latency: float = 0.0,
                  reservation_ttl: Optional[float] = None):
         if not classes:
@@ -222,10 +195,16 @@ class ChurnEngine:
         self.seed = seed
         self.policy = policy or FirstPathPolicy()
         self.warmup = warmup
-        self.failures: Tuple[LinkFailure, ...] = tuple(failures)
-        if setup_latency < 0:
+        if not (math.isfinite(setup_latency) and setup_latency >= 0):
             raise TrafficModelError(
-                f"setup_latency must be >= 0, got {setup_latency}"
+                f"setup_latency must be finite and >= 0, got "
+                f"{setup_latency}"
+            )
+        if reservation_ttl is not None and not (
+                math.isfinite(reservation_ttl) and reservation_ttl > 0):
+            raise TrafficModelError(
+                f"reservation_ttl must be finite and > 0, got "
+                f"{reservation_ttl}"
             )
         self.engine = Engine()
         self.setup_latency = setup_latency
@@ -248,8 +227,6 @@ class ChurnEngine:
                     self._rng.expovariate(cls.arrival_rate),
                     partial(self._arrival, cls),
                 )
-        for failure in self.failures:
-            self.engine.schedule(failure.time, partial(self._fail, failure))
 
     # ------------------------------------------------------------------
     # Introspection
@@ -494,48 +471,6 @@ class ChurnEngine:
             registry.counter("churn_departures_total", cls=cls_name,
                              outcome=outcome).inc()
 
-    def _fail(self, failure: LinkFailure) -> None:
-        injector = self.cac.fault_injector
-        if injector is not None:
-            injector.fail_link(failure.link)
-        if self._plane is not None:
-            def done(process) -> None:
-                if process.error is not None:
-                    raise process.error
-                self._account_failure(failure, process.result)
-
-            self._plane.submit_link_failure(
-                failure.link, policy=failure.policy, on_done=done)
-            return
-        report = self.cac.handle_link_failure(
-            failure.link, policy=failure.policy)
-        self._account_failure(failure, report)
-
-    def _account_failure(self, failure: LinkFailure, report) -> None:
-        # Victims the policy dropped are gone now: cancel their pending
-        # departures and account the early end in the ledger so carried
-        # load and utilization timelines stay exact.
-        for name in report.dropped:
-            entry = self._active.pop(name, None)
-            if entry is not None:
-                entry[1].cancel()
-            self._record("departure", name,
-                         entry[0] if entry else "?", "dropped")
-        self._record(
-            "link-fail", failure.link, "", failure.policy,
-            attempts=len(report.migrated),
-            route=tuple(sorted(report.dropped) + sorted(report.kept)),
-        )
-        if failure.restore_after is not None:
-            self.engine.schedule_in(
-                failure.restore_after, partial(self._restore, failure.link))
-
-    def _restore(self, link: str) -> None:
-        injector = self.cac.fault_injector
-        if injector is not None:
-            injector.restore_link(link)
-        self._record("link-restore", link, "", "restored")
-
 
 # ----------------------------------------------------------------------
 # Scenarios and blocking curves
@@ -552,9 +487,9 @@ def opposite_pairs(ring_nodes: int,
                    terminals_per_node: int = 1) -> List[Tuple[str, str]]:
     """RTnet point-to-point pairs: each terminal to its opposite peer.
 
-    The pairing of the survivability study: terminal ``i.s`` talks to
-    ``(i + ring_nodes // 2) % ring_nodes . s``, so traffic crosses ring
-    links in both route directions on a dual ring.
+    Terminal ``i.s`` talks to ``(i + ring_nodes // 2) % ring_nodes . s``,
+    so traffic crosses ring links in both route directions on a dual
+    ring.
     """
     half = ring_nodes // 2
     return [
@@ -593,7 +528,6 @@ class ChurnScenario:
     policy: str = "first-path"
     k: int = 2
     warmup_fraction: float = 0.1
-    failures: Tuple[LinkFailure, ...] = ()
     #: Per-hop per-direction signaling transit time; > 0 switches the
     #: run onto the event-driven admission plane (in-flight setups).
     setup_latency: float = 0.0
@@ -640,14 +574,12 @@ class ChurnScenario:
 def run_scenario(scenario: ChurnScenario) -> ChurnReport:
     """Execute one :class:`ChurnScenario` end to end.
 
-    Builds the topology, arms a fault injector when the scenario plans
-    failures, churns through the hard event budget, and returns the
-    warm-up-trimmed :class:`~repro.workload.stats.ChurnReport`.
+    Builds the topology, churns through the hard event budget, and
+    returns the warm-up-trimmed
+    :class:`~repro.workload.stats.ChurnReport`.
     """
     network = scenario.build_network()
-    injector = FaultInjector(FaultPlan([])) if scenario.failures else None
-    cac = NetworkCAC(network, fault_injector=injector,
-                     rng=random.Random(scenario.seed),
+    cac = NetworkCAC(network, rng=random.Random(scenario.seed),
                      hop_latency=scenario.setup_latency,
                      fast_path=scenario.fast_path)
     engine = ChurnEngine(
@@ -656,7 +588,6 @@ def run_scenario(scenario: ChurnScenario) -> ChurnReport:
         pairs=scenario.build_pairs(network),
         seed=scenario.seed,
         policy=make_policy(scenario.policy, scenario.k),
-        failures=scenario.failures,
         setup_latency=scenario.setup_latency,
         reservation_ttl=scenario.reservation_ttl,
     )

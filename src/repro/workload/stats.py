@@ -157,7 +157,6 @@ class ClassStats:
     admitted: int
     blocked: int
     departed: int
-    dropped: int
     #: Blocked arrivals / arrivals in the measurement window.
     blocking: float
     #: 95% batch-means half-width around :attr:`blocking`.
@@ -173,7 +172,6 @@ class ClassStats:
             "admitted": self.admitted,
             "blocked": self.blocked,
             "departed": self.departed,
-            "dropped": self.dropped,
             "blocking": self.blocking,
             "blocking_ci": self.blocking_ci,
             "carried_erlangs": self.carried_erlangs,
@@ -241,8 +239,8 @@ def _intervals(ledger: Sequence["ChurnRecord"], horizon: float,
                ) -> List[Tuple[str, float, float, Tuple[str, ...]]]:
     """``(class, start, end, route)`` holding intervals, ledger order.
 
-    An admitted arrival opens an interval; its ``departed``/``dropped``
-    row closes it; still-open intervals close at the horizon.
+    An admitted arrival opens an interval; its departure row closes
+    it; still-open intervals close at the horizon.
     """
     open_at: Dict[str, Tuple[str, float, Tuple[str, ...]]] = {}
     out: List[Tuple[str, float, float, Tuple[str, ...]]] = []
@@ -324,8 +322,6 @@ def summarize(ledger: Sequence["ChurnRecord"],
         admitted = len(arrivals) - blocked
         departed = sum(1 for r in rows if r.kind == "departure"
                        and r.outcome == "departed")
-        dropped = sum(1 for r in rows if r.kind == "departure"
-                      and r.outcome == "dropped")
         blocking = blocked / len(arrivals) if arrivals else 0.0
         # Batch means over equal time slices of the window.
         ratios: List[float] = []
@@ -353,7 +349,6 @@ def summarize(ledger: Sequence["ChurnRecord"],
             admitted=admitted,
             blocked=blocked,
             departed=departed,
-            dropped=dropped,
             blocking=blocking,
             blocking_ci=half,
             carried_erlangs=carried,

@@ -42,7 +42,7 @@ from repro.obs import metrics as om
 from repro.obs.metrics import MetricsRegistry
 from repro.robustness.faults import FaultInjector
 from repro.robustness.harness import random_fault_plan
-from repro.robustness.migration import no_double_booking
+from repro.robustness.harness import no_double_booking
 from repro.robustness.retry import RetryPolicy
 from repro.sim.engine import Engine, ProcessHandle
 from repro.workload import ChurnEngine, ChurnScenario, make_policy

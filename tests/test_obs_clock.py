@@ -73,20 +73,15 @@ class TestGlobalClock:
 
 
 class TestCacRebinding:
-    def test_bind_clock_reaches_health_and_breakers(self):
-        # AdmissionPlane construction rebinds an existing CAC -- every
-        # component holding a clock reference must move with it,
-        # including breakers created before the rebind.
+    def test_plane_rebinds_the_cac_clock(self):
+        # AdmissionPlane construction moves an existing CAC onto the
+        # engine's timeline; every later walk's channel reads it.
         import random
         from repro.core import AdmissionPlane, NetworkCAC
         from repro.network.topology import star_network
 
         cac = NetworkCAC(star_network(3, bounds={0: 32}),
                          rng=random.Random(0))
-        breaker = cac.breakers.breaker("hub", "t0->hub")  # pre-rebind
         engine = Engine()
         plane = AdmissionPlane(cac, engine)
         assert cac.clock is plane.clock
-        assert cac.health._clock is plane.clock
-        assert cac.breakers.clock is plane.clock
-        assert breaker.clock is plane.clock

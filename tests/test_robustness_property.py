@@ -3,9 +3,10 @@
 For every seeded random schedule (drops, delays, duplicates, switch
 crashes, link failures) the post-fault network state must equal a
 fault-free replay of only the committed connections, every switch's
-incremental caches must verify against a from-scratch rebuild, and a
-crashed switch restored via ``recover()`` must be identical to its
-pre-crash committed state.
+incremental caches must verify against a from-scratch rebuild, no
+switch may book a leg the network does not account for, and a crashed
+switch restored via ``recover()`` must be identical to its pre-crash
+committed state.
 
 The schedule count scales with the ``FAULT_SCHEDULES`` environment
 variable (the CI stress job sets 500); the local default keeps the
@@ -21,7 +22,7 @@ from repro.core.admission import NetworkCAC
 from repro.core.traffic import cbr
 from repro.network.connection import ConnectionRequest
 from repro.network.routing import ring_walk, shortest_path
-from repro.network.topology import line_network, ring_network
+from repro.network.topology import Network, line_network, ring_network
 from repro.robustness.harness import (
     committed_states_equal,
     random_fault_plan,
@@ -29,7 +30,7 @@ from repro.robustness.harness import (
 )
 
 SCHEDULES = int(os.environ.get("FAULT_SCHEDULES", "60"))
-#: The ring corpus is smaller: same property, different topology shape.
+#: The ring corpora are smaller: same property, different topology shape.
 RING_SCHEDULES = max(10, SCHEDULES // 4)
 
 
@@ -62,6 +63,33 @@ def ring_requests(network):
     ]
 
 
+def duplex_ring_factory():
+    """A 4-switch duplex ring: every switch pair has two disjoint paths."""
+    net = Network()
+    for index in range(4):
+        net.add_switch(f"s{index}")
+    for index in range(4):
+        nxt = (index + 1) % 4
+        net.add_link(f"s{index}", f"s{nxt}", bounds={0: 64})
+        net.add_link(f"s{nxt}", f"s{index}", bounds={0: 64})
+    for index in range(4):
+        net.add_terminal(f"t{index}.0")
+        net.add_link(f"t{index}.0", f"s{index}")
+        net.add_link(f"s{index}", f"t{index}.0", bounds={0: 64})
+    return net
+
+
+def duplex_ring_requests(network):
+    rates = [F(1, 10), F(1, 12), F(1, 9), F(1, 14), F(1, 11)]
+    spans = [("t0.0", "t2.0"), ("t1.0", "t3.0"), ("t2.0", "t0.0"),
+             ("t3.0", "t1.0"), ("t0.0", "t1.0")]
+    return [
+        ConnectionRequest(f"vc{index}", cbr(rate),
+                          shortest_path(network, src, dst))
+        for index, (rate, (src, dst)) in enumerate(zip(rates, spans))
+    ]
+
+
 @pytest.mark.parametrize("seed", range(SCHEDULES))
 def test_line_schedule_reaches_replay_equivalent_state(seed):
     report = run_schedule(seed, line_factory, line_requests)
@@ -73,6 +101,10 @@ def test_line_schedule_reaches_replay_equivalent_state(seed):
         f"{report.established} under {report.plan.faults}; "
         f"errors={report.errors}"
     )
+    assert report.booking_safe, (
+        f"seed {seed}: a switch books a leg the network does not "
+        f"account for under {report.plan.faults}"
+    )
 
 
 @pytest.mark.parametrize("seed", range(10_000, 10_000 + RING_SCHEDULES))
@@ -82,6 +114,17 @@ def test_ring_schedule_reaches_replay_equivalent_state(seed):
     assert report.equivalent, (
         f"seed {seed}: {report.plan.faults} errors={report.errors}"
     )
+    assert report.booking_safe, f"seed {seed}: {report.plan.faults}"
+
+
+@pytest.mark.parametrize("seed", range(20_000, 20_000 + RING_SCHEDULES))
+def test_duplex_ring_schedule_reaches_replay_equivalent_state(seed):
+    report = run_schedule(seed, duplex_ring_factory, duplex_ring_requests)
+    assert report.consistent
+    assert report.equivalent, (
+        f"seed {seed}: {report.plan.faults} errors={report.errors}"
+    )
+    assert report.booking_safe, f"seed {seed}: {report.plan.faults}"
 
 
 def test_corpus_is_not_vacuous():

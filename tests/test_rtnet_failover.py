@@ -1,16 +1,50 @@
 """Ring wrap-around after a single failure: the real-time cost."""
 
+from fractions import Fraction as F
+
 import pytest
 
+from repro.core.admission import NetworkCAC
+from repro.core.traffic import cbr
 from repro.exceptions import TrafficModelError
+from repro.network.connection import ConnectionRequest
+from repro.network.routing import shortest_path
+from repro.network.topology import Network, line_network
+from repro.robustness.faults import FaultInjector, FaultPlan
+from repro.robustness.harness import no_double_booking
 from repro.rtnet import (
     RingAnalysis,
+    evacuate_switch,
     failover_capacity,
     symmetric_workload,
     wrapped_analysis,
     wrapped_ring_size,
     wrapped_workload,
 )
+
+
+def diamond_network():
+    """t0 - s0 - {s1 | s2} - s3 - t1: two disjoint middle paths."""
+    net = Network()
+    for name in ("s0", "s1", "s2", "s3"):
+        net.add_switch(name)
+    port_bounds = {0: 64}
+    for src, dst in [("s0", "s1"), ("s1", "s3"),
+                     ("s0", "s2"), ("s2", "s3")]:
+        net.add_link(src, dst, bounds=port_bounds)
+    net.add_terminal("t0")
+    net.add_link("t0", "s0")
+    net.add_link("s0", "t0", bounds=port_bounds)
+    net.add_terminal("t1")
+    net.add_link("t1", "s3")
+    net.add_link("s3", "t1", bounds=port_bounds)
+    return net
+
+
+def upper_path_request(net, name):
+    """Pinned over the s0->s1->s3 branch."""
+    route = shortest_path(net, "t0", "t1", avoid=frozenset({"s2"}))
+    return ConnectionRequest(name, cbr(F(1, 10)), route)
 
 
 class TestWrappedRingSize:
@@ -81,14 +115,6 @@ class TestEvacuateSwitch:
     """Crash a node and tear its connections down via the robust path."""
 
     def make_loaded_cac(self):
-        from fractions import Fraction as F
-
-        from repro.core.admission import NetworkCAC
-        from repro.core.traffic import cbr
-        from repro.network.connection import ConnectionRequest
-        from repro.network.routing import shortest_path
-        from repro.network.topology import line_network
-
         net = line_network(4, bounds={0: 64}, terminals_per_switch=1)
         cac = NetworkCAC(net)
         # "crossing" traverses s1; "local" lives entirely on s3's port.
@@ -99,8 +125,6 @@ class TestEvacuateSwitch:
         return cac
 
     def test_affected_connections_are_torn_down(self):
-        from repro.rtnet import evacuate_switch
-
         cac = self.make_loaded_cac()
         affected = evacuate_switch(cac, "s1")
         assert [request.name for request in affected] == ["crossing"]
@@ -113,8 +137,6 @@ class TestEvacuateSwitch:
             assert switch.verify_consistency()
 
     def test_recovery_reconciles_the_dead_switch(self):
-        from repro.rtnet import evacuate_switch
-
         cac = self.make_loaded_cac()
         evacuate_switch(cac, "s1")
         recovered = cac.recover_switch("s1")
@@ -126,11 +148,44 @@ class TestEvacuateSwitch:
             assert switch.verify_consistency()
 
     def test_evacuated_requests_can_be_readmitted(self):
-        from repro.rtnet import evacuate_switch
-
         cac = self.make_loaded_cac()
         affected = evacuate_switch(cac, "s1")
         cac.recover_switch("s1")
         for request in affected:
             cac.setup(request)
         assert set(cac.established) == {"crossing", "local"}
+
+
+class TestEvacuationUnderConcurrentFaults:
+    """``evacuate_switch`` composes with live fault schedules."""
+
+    def build(self):
+        net = diamond_network()
+        injector = FaultInjector(FaultPlan([]))
+        cac = NetworkCAC(net, fault_injector=injector)
+        cac.setup(upper_path_request(net, "vc0"))
+        cac.setup(ConnectionRequest(
+            "vc1", cbr(F(1, 12)),
+            shortest_path(net, "t0", "t1", avoid=frozenset({"s1"}))))
+        return net, injector, cac
+
+    def test_evacuation_while_a_link_is_down(self):
+        _net, injector, cac = self.build()
+        # A concurrent link failure on the survivor's path must not
+        # stop the evacuation of the crashed switch.
+        injector.fail_link("s2->s3")
+        affected = evacuate_switch(cac, "s1")
+        assert [request.name for request in affected] == ["vc0"]
+        assert "vc0" not in cac.established
+        cac.recover_switch("s1")
+        assert cac.switch("s1").legs == {}
+        assert cac.switch("s1").verify_consistency()
+
+    def test_evacuated_requests_readmit_after_recovery(self):
+        _net, injector, cac = self.build()
+        affected = evacuate_switch(cac, "s1")
+        cac.recover_switch("s1")
+        for request in affected:
+            cac.setup(request)
+        assert "vc0" in cac.established
+        assert no_double_booking(cac)

@@ -1,4 +1,4 @@
-"""The churn engine: determinism, budgets, failures, policy comparison.
+"""The churn engine: determinism, budgets, policy comparison.
 
 The heavyweight equivalence cases scale with the ``CHURN_EVENTS``
 environment variable (the CI churn-property job sets 2000; the local
@@ -14,12 +14,10 @@ from repro.core.admission import NetworkCAC
 from repro.core.traffic import cbr
 from repro.exceptions import TrafficModelError
 from repro.network.topology import star_network
-from repro.robustness.faults import FaultInjector, FaultPlan
-from repro.robustness.migration import no_double_booking
+from repro.robustness.harness import no_double_booking
 from repro.workload import (
     ChurnEngine,
     ChurnScenario,
-    LinkFailure,
     TrafficClass,
     blocking_curve,
     make_policy,
@@ -33,13 +31,12 @@ CHURN_EVENTS = int(os.environ.get("CHURN_EVENTS", "400"))
 RING = dict(topology="dual-ring", nodes=6, bound=48.0, rate=0.15)
 
 
-def small_engine(seed=7, policy=None, failures=(), injector=None,
-                 arrival_rate=0.01):
+def small_engine(seed=7, policy=None, arrival_rate=0.01):
     net = star_network(4, bounds={0: 32})
-    cac = NetworkCAC(net, fault_injector=injector, rng=random.Random(seed))
+    cac = NetworkCAC(net, rng=random.Random(seed))
     engine = ChurnEngine(
         cac, [TrafficClass("cbr", cbr(0.1), arrival_rate, 200.0)],
-        pairs=star_pairs(net), seed=seed, policy=policy, failures=failures,
+        pairs=star_pairs(net), seed=seed, policy=policy,
     )
     return engine
 
@@ -121,46 +118,6 @@ class TestChurnEngine:
         engine = ChurnEngine(cac, [cls], pairs=[("t0", "t1")])
         with pytest.raises(TrafficModelError, match="max_events"):
             engine.run(max_events=-1)
-
-
-class TestFailurePlan:
-    def plan(self):
-        return (LinkFailure(time=1200.0, link="ring0->ring1",
-                            policy="migrate-or-drop", restore_after=1200.0),)
-
-    def scenario(self, **kw):
-        base = dict(RING, events=CHURN_EVENTS, seed=9, offered_load=3.0,
-                    policy="k-alternate", failures=self.plan())
-        base.update(kw)
-        return ChurnScenario(**base)
-
-    def run_engine(self):
-        scen = self.scenario()
-        net = scen.build_network()
-        cac = NetworkCAC(net, fault_injector=FaultInjector(FaultPlan([])),
-                         rng=random.Random(scen.seed))
-        engine = ChurnEngine(
-            cac, [scen.traffic_class()], pairs=scen.build_pairs(net),
-            seed=scen.seed, policy=make_policy(scen.policy, scen.k),
-            failures=scen.failures,
-        )
-        engine.run(max_events=scen.events)
-        return engine
-
-    def test_failure_and_restore_are_ledgered(self):
-        engine = self.run_engine()
-        kinds = {r.kind for r in engine.ledger}
-        assert "link-fail" in kinds and "link-restore" in kinds
-
-    def test_no_double_booking_under_armed_failure(self):
-        engine = self.run_engine()
-        no_double_booking(engine.cac)
-        for switch in engine.cac.switches().values():
-            switch.verify_consistency()
-
-    def test_failure_run_is_deterministic(self):
-        assert (run_scenario(self.scenario()).ledger_digest
-                == run_scenario(self.scenario()).ledger_digest)
 
 
 class TestPolicyComparison:
