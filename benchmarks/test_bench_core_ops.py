@@ -3,9 +3,8 @@
 Admission-check latency is dominated by these four operations; their
 costs set how fast switched real-time VCs can be established (Section
 4.3 discussion 2 worries exactly about this).  The aggregate sums 64
-three-breakpoint VBR streams into 66 breakpoints (``STREAM_SIZES``),
-already more than any stream of the end-to-end benchmark workloads,
-whose largest has 30.
+three-breakpoint VBR streams into 66 breakpoints, already more than any
+stream of the end-to-end benchmark workloads, whose largest has 30.
 """
 
 import pytest
@@ -25,16 +24,6 @@ STREAMS = [
 AGGREGATE = aggregate(STREAMS)
 FILTERED = AGGREGATE.filtered()
 HALF = aggregate(STREAMS[:32])
-
-#: Recorded into ``BENCH_core_ops.json`` so the perf trajectory stays
-#: interpretable when the scenario changes.
-STREAM_SIZES = {
-    "component_streams": len(STREAMS),
-    "component_breakpoints": len(STREAMS[0]),
-    "aggregate_breakpoints": len(AGGREGATE),
-    "filtered_breakpoints": len(FILTERED),
-}
-
 
 def _loaded_switch():
     """A port already carrying 48 connections across 3 inputs."""

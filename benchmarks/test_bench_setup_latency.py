@@ -1,20 +1,17 @@
 """Admission-plane throughput: engine-driven vs synchronous setups.
 
-Three numbers go into ``BENCH_core_ops.json`` under ``"admission_plane"``:
-
-* **synchronous setups/sec** -- the blocking :meth:`NetworkCAC.setup` /
+* **synchronous setups** -- the blocking :meth:`NetworkCAC.setup` /
   :meth:`NetworkCAC.teardown` cycle, the pre-plane baseline;
-* **engine-driven setups/sec** -- the same cycles run as
+* **engine-driven setups** -- the same cycles run as
   :class:`~repro.core.plane.AdmissionPlane` processes at concurrency 1,
-  so the ratio is the pure cost of event-driven signaling (generator
-  suspension + one engine event per wait);
-* **plane-churn events/sec** -- the churn engine in plane mode with a
-  nonzero per-hop setup latency and a reservation TTL, the dynamic
-  analogue under concurrent in-flight walks.
+  so the difference is the pure cost of event-driven signaling
+  (generator suspension + one engine event per wait);
+* **plane churn** -- the churn engine in plane mode with a nonzero
+  per-hop setup latency and a reservation TTL, the dynamic analogue
+  under concurrent in-flight walks.
 """
 
 import random
-import time
 from fractions import Fraction as F
 
 from repro.core import AdmissionPlane, NetworkCAC
@@ -24,9 +21,6 @@ from repro.network.routing import shortest_path
 from repro.network.topology import line_network
 from repro.sim.engine import Engine
 from repro.workload import ChurnScenario, run_scenario
-
-#: Filled by the benches, dumped into the artifact by the conftest hook.
-RESULTS = {}
 
 CYCLES = 300
 
@@ -54,14 +48,7 @@ def test_bench_setup_sync_cycles(once):
             cac.teardown("bench")
         return cac
 
-    start = time.perf_counter()
     once(cycles)
-    elapsed = time.perf_counter() - start
-    RESULTS["sync_setups"] = {
-        "cycles": CYCLES,
-        "wall_s": round(elapsed, 4),
-        "setups_per_sec": round(CYCLES / elapsed, 1),
-    }
 
 
 def test_bench_setup_engine_cycles(once):
@@ -88,32 +75,9 @@ def test_bench_setup_engine_cycles(once):
         assert plane.in_flight == 0
         return plane
 
-    start = time.perf_counter()
     once(cycles)
-    elapsed = time.perf_counter() - start
-    RESULTS["engine_setups"] = {
-        "cycles": CYCLES,
-        "wall_s": round(elapsed, 4),
-        "setups_per_sec": round(CYCLES / elapsed, 1),
-    }
-    sync = RESULTS.get("sync_setups")
-    if sync:
-        RESULTS["engine_overhead_ratio"] = round(
-            sync["setups_per_sec"] / RESULTS["engine_setups"]
-            ["setups_per_sec"], 2)
 
 
 def test_bench_plane_churn_events_per_sec(once):
-    start = time.perf_counter()
     report = once(lambda: run_scenario(CHURN))
-    elapsed = time.perf_counter() - start
-    RESULTS["plane_churn"] = {
-        "events": CHURN.events,
-        "setup_latency": CHURN.setup_latency,
-        "reservation_ttl": CHURN.reservation_ttl,
-        "wall_s": round(elapsed, 4),
-        "events_per_sec": round(CHURN.events / elapsed, 1),
-        "arrivals": report.arrivals,
-        "blocking": round(report.blocking, 4),
-    }
     assert report.arrivals > 0

@@ -59,6 +59,7 @@ from ..network.signaling import (
     SetupMessage,
     SignalingChannel,
     SignalingTrace,
+    check_hop_timing,
     drain_steps,
 )
 from ..network.topology import Network
@@ -101,8 +102,8 @@ class NetworkCAC:
         (the default) makes the protocol lossless, which degenerates to
         the paper's original walk.
     retry_policy / hop_timeout:
-        Resend budget and per-hop response timeout of the signaling
-        channel (see ``docs/robustness.md``).
+        Resend budget and per-hop response timeout (finite, > 0) of the
+        signaling channel (see ``docs/robustness.md``).
     clock / rng:
         Simulated time source and backoff-jitter randomness, injected
         so fault schedules replay deterministically.  The clock is
@@ -110,15 +111,9 @@ class NetworkCAC:
         admission plane replaces it with an
         :class:`~repro.obs.clock.EngineClock`.
     hop_latency:
-        Nominal per-direction signaling transit time per hop, forwarded
-        to every channel; zero keeps the paper's instantaneous-exchange
-        model.
-    fast_path:
-        Forwarded to every switch: whether admission checks consult the
-        incremental headroom-ledger screen before falling through to
-        the exact delay-bound evaluation (decision-identical either
-        way; see ``docs/performance.md``).  ``None`` defers to the
-        ``CAC_FAST_PATH`` environment switch.
+        Nominal per-direction signaling transit time per hop (finite,
+        >= 0), forwarded to every channel; zero keeps the paper's
+        instantaneous-exchange model.
 
     Examples
     --------
@@ -143,8 +138,8 @@ class NetworkCAC:
                  hop_timeout: float = 8.0,
                  clock: Optional[ManualClock] = None,
                  rng: Optional[random.Random] = None,
-                 hop_latency: float = 0.0,
-                 fast_path: Optional[bool] = None):
+                 hop_latency: float = 0.0):
+        check_hop_timing(hop_timeout, hop_latency)
         self.network = network
         self.cdv_policy = make_policy(cdv_policy)
         self.filter_per_input = filter_per_input
@@ -161,10 +156,7 @@ class NetworkCAC:
         #: names of the walks in flight; recover_switch keeps their legs
         self._in_flight: Set[str] = set()
         for switch in network.switches():
-            cac = SwitchCAC(
-                switch.name, filter_per_input=filter_per_input,
-                fast_path=fast_path,
-            )
+            cac = SwitchCAC(switch.name, filter_per_input=filter_per_input)
             for link in network.out_links(switch.name):
                 if link.bounds:
                     cac.configure_link(link.name, link.bounds)

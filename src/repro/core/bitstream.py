@@ -470,36 +470,6 @@ class BitStream:
         # breakpoint because the slope r(k) - C only decreases with k.
         return best
 
-    @property
-    def burst(self) -> Number:
-        """Burst allowance ``sigma`` of the ``(sigma, rho)`` envelope.
-
-        The smallest ``sigma`` with ``A(t) <= sigma + long_run_rate * t``
-        for all ``t``: the maximum of the piecewise-linear
-        ``A(t) - rho * t``, attained at a breakpoint because the slope
-        ``r(k) - rho`` is non-increasing.  Together with
-        ``rho = long_run_rate`` this is the pessimistic affine envelope
-        the admission fast path sums into its headroom ledger (see
-        ``docs/performance.md``); it is sub-additive under multiplexing
-        and non-increasing under filtering, which is what makes the
-        ledger sums conservative.
-
-        The maximum is taken over *all* breakpoints (not just the last)
-        so that streams canonicalized under ``_RATE_TOLERANCE`` -- whose
-        rate function may rise by up to the tolerance -- still get a
-        valid envelope.
-        """
-        rho = self._rates[-1]
-        best: Number = 0
-        total: Number = 0
-        for index, start in enumerate(self._times):
-            if index > 0:
-                total += self._rates[index - 1] * (start - self._times[index - 1])
-            excess = total - rho * start
-            if excess > best:
-                best = excess
-        return best
-
     def busy_period(self, capacity: Number = 1) -> Number:
         """Time at which a server of the given capacity first goes idle.
 

@@ -48,7 +48,6 @@ __all__ = [
     "departure_time",
     "backlog_bound_with_higher",
     "is_stable",
-    "latency_rate_bound",
     "ServiceCurve",
 ]
 
@@ -276,31 +275,6 @@ def delay_bound(stream: BitStream, higher: Optional[BitStream] = None,
         if delay > best:
             best = delay
     return best
-
-
-def latency_rate_bound(burst: Number, higher_burst: Number,
-                       higher_rate: Number) -> Number:
-    """Closed-form conservative delay bound under affine envelopes.
-
-    If the priority-``p`` arrivals satisfy ``A(t) <= sigma + rho * t``
-    and the higher-priority interference satisfies
-    ``B1(t) <= sigma1 + rho1 * t`` with ``rho <= 1 - rho1``, the
-    leftover service ``C(u) = u - B1(u)`` dominates the latency-rate
-    curve ``(1 - rho1) * u - sigma1`` and the worst-case queueing delay
-    is at most ``(sigma + sigma1) / (1 - rho1)``: the sup-inverse of
-    the latency-rate curve at ``A(t)`` exceeds ``t`` by at most that
-    constant when the arrival slope fits the leftover rate.
-
-    This is the sufficient-accept side of the admission fast path
-    (see ``docs/performance.md``): :func:`delay_bound` computed on the
-    actual streams can only be *smaller*.  Callers must separately
-    ensure ``rho + rho1 <= 1``; this helper only guards the
-    denominator, returning ``math.inf`` when ``higher_rate >= 1``.
-    """
-    if higher_rate >= 1:
-        return math.inf
-    rho1 = higher_rate if higher_rate > 0 else 0
-    return (burst + higher_burst) / (1 - rho1)
 
 
 def backlog_bound_with_higher(stream: BitStream,

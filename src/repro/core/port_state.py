@@ -13,12 +13,11 @@ instances of one private aggregate:
   above ``p``.
 
 Each instance keeps per-input ``Sia`` (the ground truth), per-input
-``Sif = filter(Sia)``, the patched sum ``sum_i Sif`` and the scalar
-``(sigma, rho)`` ledger the admission fast path screens with, all
-patched by one ``+``/``-`` delta per admit/release.  An add is built by
-the instance's what-if, which the exact admission check calls first,
-so the reserve that follows can install the check's streams as they
-are.  On top the port keeps only the memoized
+``Sif = filter(Sia)`` and the patched sum ``sum_i Sif``, all patched by
+one ``+``/``-`` delta per admit/release.  An add is built by the
+instance's what-if, which the admission check calls first, so the
+reserve that follows can install the check's streams as they are.  On
+top the port keeps only the memoized
 :class:`~repro.core.delay_bound.ServiceCurve` of ``Sof(j)(p)``.
 
 The object is *pure domain state*: no journaling, no two-phase
@@ -57,11 +56,10 @@ class _Aggregate:
     """One Section 4.3 chain: per-input ``Sia`` -> ``Sif`` -> ``sum_i Sif``.
 
     ``total`` starts at the zero stream and is only ever patched, one
-    delta per mutation; ``rate`` and ``burst`` are the running sums of
-    the per-leg ``(rho, sigma)`` envelopes.
+    delta per mutation.
     """
 
-    __slots__ = ("filter_per_input", "sia", "sif", "total", "rate", "burst")
+    __slots__ = ("filter_per_input", "sia", "sif", "total")
 
     def __init__(self, filter_per_input: bool):
         self.filter_per_input = filter_per_input
@@ -71,8 +69,6 @@ class _Aggregate:
         self.sif: Dict[str, BitStream] = {}
         #: sum_i Sif, before any output filter.
         self.total: BitStream = ZERO_STREAM
-        self.rate: Number = 0
-        self.burst: Number = 0
 
     def filter(self, stream: BitStream) -> BitStream:
         """Per-input link filtering (identity in the ablation mode)."""
@@ -93,7 +89,7 @@ class _Aggregate:
 
     def apply(self, in_link: str, stream: BitStream, add: bool,
               streams: Optional[Streams] = None) -> None:
-        """Patch the ledger, ``Sia``, ``Sif`` and the sum for one delta.
+        """Patch ``Sia``, ``Sif`` and the sum for one delta.
 
         A single ``+``/``-`` of the connection's stream (Algorithms
         3.2/3.3) -- O(m) in the aggregate breakpoint count.  An add
@@ -101,9 +97,6 @@ class _Aggregate:
         this very stream against the current state, which the caller
         already holds from the admission check.
         """
-        sign = 1 if add else -1
-        self.rate = self.rate + sign * stream.long_run_rate
-        self.burst = self.burst + sign * stream.burst
         if add:
             new_sia, new_sif, total = (
                 streams if streams is not None
@@ -125,28 +118,16 @@ class _Aggregate:
 
     def verify(self, items: Iterable[Tuple[str, BitStream]],
                tolerance: float) -> bool:
-        """Does this instance match a rebuild from ``(in_link, stream)``?
-
-        The rate sum must match the ground truth (long-run rates add
-        exactly under multiplexing); the burst sum is per-leg and hence
-        only *conservative* for the aggregates (sigma is sub-additive),
-        so it is checked as a one-sided bound.
-        """
+        """Does this instance match a rebuild from ``(in_link, stream)``?"""
         expected: Dict[str, BitStream] = {}
-        rate: Number = 0
-        burst: Number = 0
         for in_link, stream in items:
             expected[in_link] = expected.get(in_link, ZERO_STREAM) + stream
-            rate += stream.long_run_rate
-            burst += stream.burst
         for in_link in expected.keys() | self.sia.keys():
             if not self.sia.get(in_link, ZERO_STREAM).approx_equal(
                     expected.get(in_link, ZERO_STREAM), tolerance):
                 return False
         total = aggregate([self.filter(expected[i]) for i in sorted(expected)])
-        return (self.total.approx_equal(total, tolerance)
-                and abs(self.rate - rate) <= tolerance
-                and self.burst + tolerance >= burst)
+        return self.total.approx_equal(total, tolerance)
 
 
 class PortState:
@@ -193,10 +174,6 @@ class PortState:
     def in_links(self) -> List[str]:
         """Incoming links currently carrying traffic to this port, sorted."""
         return sorted(self.own.sia)
-
-    def is_idle(self) -> bool:
-        """True when no traffic is admitted at this port's priority."""
-        return not self.own.sia
 
     def long_run_rate(self) -> Number:
         """Total admitted long-run rate through this port."""

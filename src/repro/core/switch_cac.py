@@ -59,7 +59,6 @@ state.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -69,8 +68,7 @@ from ..obs import metrics as _om
 from ..obs import spans as _ospans
 from ..robustness.journal import AdmissionJournal
 from .bitstream import BitStream, Number, ZERO_STREAM
-from .delay_bound import (backlog_bound_with_higher, delay_bound,
-                          latency_rate_bound)
+from .delay_bound import backlog_bound_with_higher, delay_bound
 from .port_state import PortState, Streams
 
 __all__ = ["SwitchCAC", "Leg", "CheckResult", "PriorityBoundViolation"]
@@ -78,31 +76,12 @@ __all__ = ["SwitchCAC", "Leg", "CheckResult", "PriorityBoundViolation"]
 #: Memos whose hit/miss behaviour is observable.
 _CACHES = ("service",)
 
-#: Screen outcomes counted under ``cac_screen_total``.
-_SCREEN_OUTCOMES = ("accept", "reject", "exact")
-
-#: Slack the headroom screen demands before trusting the ledger: the
-#: sufficient-accept bound must clear the advertised bound by at least
-#: this relative margin, and the necessary-reject rate ceiling must be
-#: exceeded by at least this absolute margin.  The guard dominates any
-#: float drift the +/- ledger patching can accumulate (the same 1e-9
-#: scale :meth:`SwitchCAC.verify_consistency` tolerates), so drift can
-#: only push a check toward the exact fallthrough -- never flip a
-#: decision.
-_SCREEN_GUARD = 1e-9
-
-
-def _fast_path_default() -> bool:
-    """The ``CAC_FAST_PATH`` environment switch (on unless disabled)."""
-    flag = os.environ.get("CAC_FAST_PATH", "on").strip().lower()
-    return flag not in ("0", "off", "false", "no")
-
 
 class _SwitchMetrics:
     """Pre-bound metric handles of one switch.
 
     A labelled registry lookup per cache access would dominate the
-    incremental fast path, so the handles are resolved once and cached
+    incremental admission path, so the handles are resolved once and cached
     on the switch; ``generation`` records which global registry they
     were bound under, and :meth:`SwitchCAC._rebind` re-binds when
     :data:`repro.obs.metrics._generation` moves (i.e. after every
@@ -113,7 +92,7 @@ class _SwitchMetrics:
                  "check_seconds", "admits", "reserves", "commits",
                  "rollbacks", "releases", "expiries", "incremental",
                  "recoveries", "recoveries_verified", "replayed",
-                 "cache_hits", "cache_misses", "screen")
+                 "cache_hits", "cache_misses")
 
     def __init__(self, registry, switch: str):
         self.generation = _om._generation
@@ -148,11 +127,6 @@ class _SwitchMetrics:
             cache: registry.counter("cac_cache_misses_total", switch=switch,
                                     cache=cache)
             for cache in _CACHES
-        }
-        self.screen = {
-            outcome: registry.counter("cac_screen_total", switch=switch,
-                                      outcome=outcome)
-            for outcome in _SCREEN_OUTCOMES
         }
 
 
@@ -202,7 +176,7 @@ class CheckResult:
     iff ``violations`` is empty.
 
     ``_streams`` is private to the switch and left out of ``==`` and
-    ``repr``: the exact path's what-if streams, keyed by port priority
+    ``repr``: the check's what-if streams, keyed by port priority
     -- the candidate port's ``own`` instance and the ``higher`` instance
     of every lower port it checked -- which the reserve or admit that
     follows installs instead of recomputing.
@@ -234,15 +208,6 @@ class SwitchCAC:
         at the output port, which models the smoothing a real link
         performs and tightens the bounds.  Setting it False reproduces
         the coarser "no link filtering" analysis for the ablation bench.
-    fast_path:
-        Whether :meth:`check` consults the headroom
-        ledger screen before falling through to the exact
-        :func:`~repro.core.delay_bound.delay_bound` evaluation.  The
-        screen is decision-identical to the exact path (both of its
-        bounds are provably conservative; see ``docs/performance.md``).
-        ``None`` (the default) follows the ``CAC_FAST_PATH``
-        environment switch, which is on unless set to ``off``/``0``/
-        ``false``/``no``.
 
     Examples
     --------
@@ -256,13 +221,9 @@ class SwitchCAC:
     True
     """
 
-    def __init__(self, name: str, filter_per_input: bool = True,
-                 fast_path: Optional[bool] = None):
+    def __init__(self, name: str, filter_per_input: bool = True):
         self.name = name
         self.filter_per_input = filter_per_input
-        #: screened admission fast path (CAC_FAST_PATH env default).
-        self.fast_path = (_fast_path_default() if fast_path is None
-                          else bool(fast_path))
         #: out link -> {priority: PortState}, priorities ascending.
         self._ports: Dict[str, Dict[int, PortState]] = {}
         #: committed and pending (reserved, uncommitted) legs, in order.
@@ -270,7 +231,7 @@ class SwitchCAC:
         self._pending: Dict[str, Leg] = {}
         #: the result a pending reservation replays on re-delivery.
         self._results: Dict[str, CheckResult] = {}
-        #: admitted long-run rate per incoming link (exact + fast path).
+        #: admitted long-run rate per incoming link.
         self._in_link_rate: Dict[str, Number] = {}
         #: stable storage: survives crash(), drives recover().
         self._journal = AdmissionJournal()
@@ -547,18 +508,9 @@ class SwitchCAC:
         # per-input aggregate at the link rate, which would otherwise
         # silently mask a physically impossible load (total sustained
         # rate beyond what the incoming link can ever deliver) as a
-        # zero-delay stream.  The rate comes from the in-link ledger --
-        # the same sums on the exact and screened paths.
+        # zero-delay stream.  The rate comes from the in-link ledger.
         if self._in_link_rate.get(in_link, 0) + stream.long_run_rate > 1:
             return self._unbounded(priority, port)
-
-        if self.fast_path:
-            screened = self._screen(priority, stream, port)
-            if screened is not None:
-                self._note_screen("accept" if screened.admitted
-                                  else "reject")
-                return screened
-            self._note_screen("exact")
 
         computed: Dict[int, Number] = {}
         violations: List[PriorityBoundViolation] = []
@@ -604,94 +556,6 @@ class SwitchCAC:
             violations=(PriorityBoundViolation(
                 priority, math.inf, port.advertised_bound),),
         )
-
-    def _note_screen(self, outcome: str) -> None:
-        """Count one headroom-screen outcome (accept/reject/exact)."""
-        obs = self._rebind()
-        if obs.enabled:
-            obs.screen[outcome].inc()
-
-    def _screen(self, priority: int, stream: BitStream,
-                port: PortState) -> Optional[CheckResult]:
-        """Decide the check from the headroom ledger alone, if possible.
-
-        Two one-sided tests over the per-port ``(sigma, rho)`` envelope
-        sums (see ``docs/performance.md`` for the derivation and why
-        each is conservative):
-
-        * **necessary reject** -- if the ledger says the candidate's own
-          priority would exceed the aggregate-rate ceiling by more than
-          the guard, the exact path is guaranteed to compute an infinite
-          bound for that priority, which is also the first violation it
-          would report;
-        * **sufficient accept** -- if the closed-form latency-rate bound
-          (burst sums over leftover rate) clears the advertised bound of
-          the candidate's port *and* of every non-idle lower port with
-          margin, the exact bounds -- which the conservative ones
-          dominate -- must pass too.
-
-        Returns ``None`` when neither side is provable (the exact
-        fallthrough).  Assumes the in-link feasibility check has
-        already passed, which bounds every per-input rate sum by the
-        link rate -- the fact that makes the rate ceiling exact.
-        """
-        rho = stream.long_run_rate
-        sigma = stream.burst
-        own, higher = port.own, port.higher
-        rate_same = own.rate + rho
-        rate_higher = higher.rate
-
-        # Necessary reject: the candidate's priority is unstable.  The
-        # interference long-run rate is min(1, sum of higher rates)
-        # after the output filter, hence the cap.
-        capped_higher = rate_higher if rate_higher < 1 else 1
-        if rate_same > _SCREEN_GUARD and \
-                rate_same + capped_higher > 1 + _SCREEN_GUARD:
-            return self._unbounded(priority, port)
-
-        # Sufficient accept, candidate port first.
-        computed: Dict[int, Number] = {}
-        bound = self._screen_port_bound(
-            rate_same, own.burst + sigma, rate_higher, higher.burst,
-            port.advertised_bound)
-        if bound is None:
-            return None
-        computed[priority] = bound
-
-        # ... then every lower port the exact path would re-check.
-        for lower in self._ports_below(port.out_link, priority):
-            if lower.is_idle():
-                continue  # exact path skips it too (Soa is zero)
-            bound = self._screen_port_bound(
-                lower.own.rate, lower.own.burst, lower.higher.rate + rho,
-                lower.higher.burst + sigma, lower.advertised_bound)
-            if bound is None:
-                return None
-            computed[lower.priority] = bound
-
-        return CheckResult(
-            switch=self.name,
-            out_link=port.out_link,
-            computed_bounds=computed,
-            violations=(),
-        )
-
-    @staticmethod
-    def _screen_port_bound(rate: Number, burst: Number,
-                           higher_rate: Number, higher_burst: Number,
-                           advertised: Number) -> Optional[Number]:
-        """One port's sufficient-accept test, or ``None`` if inconclusive.
-
-        Requires a stability margin (so the latency-rate bound applies)
-        and the conservative bound to clear the advertised bound by the
-        guard; returns the conservative bound on success.
-        """
-        if rate + higher_rate > 1 - _SCREEN_GUARD:
-            return None
-        bound = latency_rate_bound(burst, higher_burst, higher_rate)
-        if bound > advertised - _SCREEN_GUARD * (1 + advertised):
-            return None
-        return bound
 
     def _checked(self, leg: Leg) -> CheckResult:
         """:meth:`check` one leg; :class:`SwitchRejection` on a violation."""
@@ -973,8 +837,7 @@ class SwitchCAC:
 
         Served from the in-link ledger -- a scalar running sum patched
         by the same deltas as the aggregates, and the value the
-        admission check's feasibility test reads on both the exact and
-        the screened path.
+        admission check's feasibility test reads.
         """
         return self._in_link_rate.get(in_link, 0)
 
@@ -1004,8 +867,8 @@ class SwitchCAC:
         """True when every incremental aggregate matches a fresh rebuild.
 
         Checks the in-link ledger and both aggregates of every port --
-        ``Sia`` ground truth, patched output sum and ``(sigma, rho)``
-        ledger, own priority and higher priorities -- against values
+        ``Sia`` ground truth and patched output sum, own priority and
+        higher priorities -- against values
         recomputed from the per-leg streams alone, so a switch that
         corrupts or loses state cannot pass.
         """

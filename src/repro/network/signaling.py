@@ -24,6 +24,7 @@ watch the protocol degrade gracefully (:class:`FaultEvent`,
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field, fields as dataclass_fields
 from typing import Callable, List, Optional, TypeVar, Union
@@ -56,6 +57,7 @@ __all__ = [
     "SignalingChannel",
     "message_event_fields",
     "drain_steps",
+    "check_hop_timing",
 ]
 
 T = TypeVar("T")
@@ -238,6 +240,22 @@ def drain_steps(steps, clock):
         return stop.value
 
 
+def check_hop_timing(hop_timeout: float, hop_latency: float) -> None:
+    """Refuse signaling timing no clock can follow.
+
+    ``hop_timeout`` must be finite and positive and ``hop_latency``
+    finite and non-negative: a NaN or infinite wait would leave the
+    clock unmoved or send it to infinity while the walk still
+    establishes.  Raises :class:`ValueError`.
+    """
+    if not (math.isfinite(hop_timeout) and hop_timeout > 0):
+        raise ValueError(
+            f"hop_timeout must be finite and > 0, got {hop_timeout}")
+    if not (math.isfinite(hop_latency) and hop_latency >= 0):
+        raise ValueError(
+            f"hop_latency must be finite and >= 0, got {hop_latency}")
+
+
 class SignalingChannel:
     """Unreliable, retrying message transport for one CAC walk.
 
@@ -253,7 +271,8 @@ class SignalingChannel:
         Simulated time source and jitter randomness; injected so whole
         fault schedules replay deterministically.
     hop_timeout:
-        How long the sender waits for a response before retransmitting.
+        How long the sender waits for a response before retransmitting;
+        finite and positive (see :func:`check_hop_timing`).
     trace:
         Optional :class:`SignalingTrace` that receives
         :class:`FaultEvent`/:class:`RetryEvent` records.
@@ -261,8 +280,8 @@ class SignalingChannel:
         Callback crashing the named switch (a ``CRASH`` fault fires it).
     hop_latency:
         Nominal per-direction transit time of one message over one hop.
-        Zero (the default) reproduces the instantaneous-exchange model;
-        a positive value makes every successful delivery cost one
+        Finite; zero (the default) reproduces the instantaneous-exchange
+        model, and a positive value makes every successful delivery cost one
         ``hop_latency`` each way.  The sender is assumed to arm its
         retransmit timer *knowing* the nominal RTT, so ``hop_timeout``
         remains the silence budget beyond it.
@@ -276,10 +295,10 @@ class SignalingChannel:
 
     Every delivery is implemented as a *resumable step generator*
     (:meth:`deliver_steps`): each elapse of simulated time -- transit,
-    timeout, backoff -- is a ``yield`` of that many time units.  The
-    synchronous :meth:`deliver` drains the generator against the
-    channel's own clock; the event-driven admission plane runs the very
-    same generator as an :meth:`Engine.process
+    timeout, backoff -- is a ``yield`` of that many time units.  A
+    synchronous walk drains the generator against the channel's clock
+    with :func:`drain_steps`; the event-driven admission plane runs the
+    very same generator as an :meth:`Engine.process
     <repro.sim.engine.Engine.process>`, which is what makes the two
     execution modes produce identical operation sequences.
     """
@@ -292,12 +311,7 @@ class SignalingChannel:
                  trace: Optional[SignalingTrace] = None,
                  crash_switch: Optional[Callable[[str], None]] = None,
                  hop_latency: float = 0.0):
-        if hop_timeout <= 0:
-            raise ValueError(f"hop_timeout must be positive, got {hop_timeout}")
-        if hop_latency < 0:
-            raise ValueError(
-                f"hop_latency must be non-negative, got {hop_latency}"
-            )
+        check_hop_timing(hop_timeout, hop_latency)
         self.injector = injector
         self.retry_policy = retry_policy or RetryPolicy()
         self.clock = clock or ManualClock()
@@ -398,12 +412,19 @@ class SignalingChannel:
                       connection: str, process: Callable[[], T]):
         """Deliver one message as a resumable step generator.
 
-        The generator form of :meth:`deliver` and the repository's one
-        retry loop: capped exponential backoff with full jitter
-        (:class:`~repro.robustness.retry.RetryPolicy`), with every wait
-        -- timeout or backoff -- a ``yield`` rather than a
+        ``process()`` applies the message at the receiving switch and
+        returns its response, which becomes the generator's return
+        value; protocol-level refusals (e.g.
+        :class:`~repro.exceptions.SwitchRejection`) propagate untouched
+        because a REJECT *is* a response.  Raises
+        :class:`~repro.exceptions.SignalingTimeout` once the retry
+        budget is exhausted.
+
+        The repository's one retry loop: capped exponential backoff with
+        full jitter (:class:`~repro.robustness.retry.RetryPolicy`), with
+        every wait -- timeout or backoff -- a ``yield`` rather than a
         ``clock.advance``, so the same exchange can run synchronously
-        *or* as an engine process.
+        (:func:`drain_steps`) *or* as an engine process.
         """
         registry = self._registry
         policy = self.retry_policy
@@ -447,20 +468,3 @@ class SignalingChannel:
                 phase=phase,
             ).observe(self.clock.now() - sent_at)
         return result
-
-    def deliver(self, phase: str, hop: int, at_node: str, link: str,
-                connection: str, process: Callable[[], T]) -> T:
-        """Deliver one message, retrying per the policy.
-
-        ``process()`` applies the message at the receiving switch and
-        returns its response; protocol-level refusals (e.g.
-        :class:`~repro.exceptions.SwitchRejection`) propagate untouched
-        because a REJECT *is* a response.  Raises
-        :class:`~repro.exceptions.SignalingTimeout` once the retry
-        budget is exhausted.
-
-        Synchronous wrapper: drains :meth:`deliver_steps`, turning each
-        yielded wait into a ``clock.advance``.
-        """
-        return drain_steps(self.deliver_steps(
-            phase, hop, at_node, link, connection, process), self.clock)

@@ -188,8 +188,7 @@ def run_schedule(seed: int,
                                            Iterable[ConnectionRequest]],
                  retry_policy: Optional[RetryPolicy] = None,
                  hop_timeout: float = 8.0,
-                 max_faults: int = 4,
-                 fast_path: Optional[bool] = None) -> ScheduleReport:
+                 max_faults: int = 4) -> ScheduleReport:
     """Run one seeded fault schedule and check the acceptance properties.
 
     ``network_factory`` must build a fresh, identical topology on every
@@ -197,11 +196,6 @@ def run_schedule(seed: int,
     clean replay); ``request_factory`` maps a network to the ordered
     connection requests to attempt.  Besides replay equivalence and
     cache consistency, the report checks :func:`no_double_booking`.
-
-    ``fast_path`` is forwarded to both the faulted and the clean-replay
-    :class:`NetworkCAC` (None defers to ``CAC_FAST_PATH``); the
-    screened and exact admission paths produce the same report, which
-    the property suite asserts by running schedules both ways.
     """
     rng = random.Random(seed)
     network = network_factory()
@@ -220,7 +214,6 @@ def run_schedule(seed: int,
     faulted = NetworkCAC(
         network, fault_injector=injector, retry_policy=policy,
         hop_timeout=hop_timeout, rng=random.Random(seed + 1),
-        fast_path=fast_path,
     )
     trace = SignalingTrace()
     errors: Dict[str, str] = {}
@@ -241,7 +234,7 @@ def run_schedule(seed: int,
     )
     booking_safe = no_double_booking(faulted)
 
-    clean = NetworkCAC(network_factory(), fast_path=fast_path)
+    clean = NetworkCAC(network_factory())
     for request in requests:
         if request.name in faulted.established:
             clean.setup(request)

@@ -144,8 +144,9 @@ class ChurnEngine:
         admission plane
         (:class:`~repro.core.plane.AdmissionPlane`): every arrival
         *launches* its setup walk and the connection only starts its
-        holding time once the walk commits, ``setup_latency`` per hop
-        per message direction later -- so concurrent in-flight setups
+        holding time once the walk commits, ``setup_latency`` (set as
+        the CAC's ``hop_latency``) per hop per message direction later
+        -- so concurrent in-flight setups
         contend for ports, phase-1 reservations are held under the TTL,
         and blocking genuinely differs from the instantaneous model.
         Both unset (the default) keeps the legacy synchronous path,
@@ -534,10 +535,6 @@ class ChurnScenario:
     #: Phase-1 reservation hold time before switch-side expiry; only
     #: meaningful with the admission plane active.
     reservation_ttl: Optional[float] = None
-    #: Admission fast path: True/False forces the screened/exact path,
-    #: None defers to ``CAC_FAST_PATH``.  Decisions (and ledger digests)
-    #: are identical either way; only the wall clock moves.
-    fast_path: Optional[bool] = None
 
     def arrival_rate(self) -> float:
         """The Poisson intensity hitting the offered-load target."""
@@ -579,9 +576,7 @@ def run_scenario(scenario: ChurnScenario) -> ChurnReport:
     :class:`~repro.workload.stats.ChurnReport`.
     """
     network = scenario.build_network()
-    cac = NetworkCAC(network, rng=random.Random(scenario.seed),
-                     hop_latency=scenario.setup_latency,
-                     fast_path=scenario.fast_path)
+    cac = NetworkCAC(network, rng=random.Random(scenario.seed))
     engine = ChurnEngine(
         cac,
         [scenario.traffic_class()],

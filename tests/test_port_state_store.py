@@ -223,7 +223,7 @@ def test_clear_volatile_keeps_configuration():
     assert switch.priorities("out") == [0]
     assert switch.advertised_bound("out", 0) == 32
     assert not switch.legs and not switch.pending
-    assert switch.port("out", 0).is_idle()
+    assert switch.port("out", 0).in_links() == []
 
 
 def test_configure_link_refuses_priority_changes_on_a_live_link():

@@ -1,12 +1,16 @@
 """Deterministic unit tests for the retry/backoff schedule and the
 signaling channel's retry loop that follows it."""
 
+import math
 import random
 
 import pytest
 
+from repro.core.admission import NetworkCAC
 from repro.exceptions import RetryExhausted, SignalingTimeout, SwitchRejection
-from repro.network.signaling import RetryEvent, SignalingChannel, SignalingTrace
+from repro.network.signaling import (RetryEvent, SignalingChannel,
+                                     SignalingTrace, drain_steps)
+from repro.network.topology import star_network
 from repro.obs.clock import ManualClock
 from repro.robustness.faults import DROP, FaultInjector, FaultPlan, FaultSpec
 from repro.robustness.retry import RetryPolicy
@@ -36,7 +40,8 @@ class Receiver:
 
 
 def deliver(channel, process):
-    return channel.deliver("reserve", 0, "sw0", "in", "vc", process)
+    return drain_steps(channel.deliver_steps(
+        "reserve", 0, "sw0", "in", "vc", process), channel.clock)
 
 
 class TestManualClock:
@@ -83,7 +88,8 @@ class TestRetryPolicy:
 
 
 class TestRetryCall:
-    """One delivery through :meth:`SignalingChannel.deliver`, retried."""
+    """One delivery through :meth:`SignalingChannel.deliver_steps`,
+    drained against the channel's clock and retried."""
 
     def test_succeeds_after_transient_failures(self):
         channel = dropping_channel(2, RetryPolicy(max_attempts=4))
@@ -148,3 +154,18 @@ class TestRetryCall:
         assert all(event.backoff >= 0 for event in retries)
         assert all((event.connection, event.at_node, event.phase, event.hop)
                    == ("vc", "sw0", "reserve", 0) for event in retries)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("timing", ["hop_timeout", "hop_latency"])
+@pytest.mark.parametrize("build", [
+    SignalingChannel,
+    lambda **timing: NetworkCAC(star_network(2, bounds={0: 32}), **timing),
+], ids=["SignalingChannel", "NetworkCAC"])
+def test_non_finite_hop_timing_is_refused_at_construction(build, timing,
+                                                          value):
+    """A NaN or infinite wait would leave the clock unmoved or send it
+    to infinity while the walk still establishes; both constructors
+    refuse it before any walk runs."""
+    with pytest.raises(ValueError, match=timing):
+        build(**{timing: value})

@@ -45,7 +45,7 @@ def count_calls(monkeypatch, owner, name):
 
 def test_exact_reserve_installs_the_checks_streams(monkeypatch):
     """The check patches both sums once; the reserve patches neither."""
-    switch = SwitchCAC("sw", fast_path=False)
+    switch = SwitchCAC("sw")
     switch.configure_link("out", {0: 64, 1: 128})
     switch.admit("low", "in-a", "out", 1, cbr(F(1, 8)).worst_case_stream())
     patched = count_calls(monkeypatch, BitStream, "patched")

@@ -230,6 +230,24 @@ class TestMultiPriority:
         result = switch.check("in0", "out", 0, CBR_QUARTER)
         assert set(result.computed_bounds) == {0}
 
+    def test_recorded_hop_bound_is_algorithm_4_1s(self):
+        """An accept records the port's own Algorithm 4.1 bound, not a
+        looser closed form: after each admit the bound the check
+        returned for the candidate's priority is the one the port
+        reports for its admitted traffic (the two classes of the
+        vbr-2prio workload and a CBR, each 4 cells late)."""
+        switch = SwitchCAC("sw")
+        switch.configure_link("out", {0: 32, 1: 96})
+        ctl = VBRParameters(pcr=0.4, scr=0.04, mbs=8)
+        bulk = VBRParameters(pcr=0.5, scr=0.08, mbs=24)
+        for name, traffic, priority in (("ctl", ctl, 0), ("bulk0", bulk, 1),
+                                        ("cbr", cbr(0.1), 0),
+                                        ("bulk1", bulk, 1)):
+            result = switch.admit(name, "in0", "out", priority,
+                                  traffic.worst_case_stream().delayed(4))
+            assert result.computed_bounds[priority] == \
+                switch.computed_bound("out", priority), name
+
 
 class TestFilteringAblation:
     def test_unfiltered_bounds_are_looser(self):
