@@ -70,9 +70,10 @@ BENCHES = [
     ("delay_bound", bench_delay_bound, 400),
 ]
 
-#: Alternating disabled/enabled measurement pairs; the median ratio is
-#: judged, which keeps one-off machine hiccups from failing the gate.
-TRIALS = 5
+#: Disabled/enabled measurement pairs, alternating which side runs
+#: first; the median ratio is judged, which keeps one-off machine
+#: hiccups from failing the gate.
+TRIALS = 25
 
 
 def measure() -> dict:
@@ -95,12 +96,12 @@ def main(argv=None) -> int:
 
     pairs = []
     try:
-        for _ in range(TRIALS):
-            obs.disable()
-            disabled = measure()
-            obs.enable()
-            enabled = measure()
-            pairs.append((disabled, enabled))
+        for trial in range(TRIALS):
+            timed = {}
+            for enabled in ((False, True) if trial % 2 else (True, False)):
+                (obs.enable if enabled else obs.disable)()
+                timed[enabled] = measure()
+            pairs.append((timed[False], timed[True]))
     finally:
         obs.disable()
 

@@ -48,6 +48,7 @@ kernel from the input's; exact streams keep the generic code below.
 from __future__ import annotations
 
 import heapq
+import marshal
 import math
 from fractions import Fraction
 from itertools import chain
@@ -100,7 +101,7 @@ class BitStream:
     3.0
     """
 
-    __slots__ = ("_rates", "_times", "_kernel")
+    __slots__ = ("_rates", "_times", "_kernel", "_key")
 
     def __init__(self, rates: Sequence[Number], times: Sequence[Number]):
         if len(rates) != len(times):
@@ -147,6 +148,7 @@ class BitStream:
         self._rates: Tuple[Number, ...] = tuple(canon_rates)
         self._times: Tuple[Number, ...] = tuple(canon_times)
         self._kernel = None  # lazily built float kernel (see `kernel`)
+        self._key = None  # lazily built exact key (see `exact_key`)
 
     # ------------------------------------------------------------------
     # Constructors
@@ -176,6 +178,7 @@ class BitStream:
         stream._rates = tuple(rates)
         stream._times = tuple(times)
         stream._kernel = kernel
+        stream._key = None
         return stream
 
     # ------------------------------------------------------------------
@@ -194,6 +197,32 @@ class BitStream:
         if self._kernel is None:
             self._kernel = build_kernel(self._rates, self._times) or False
         return self._kernel or None
+
+    @property
+    def exact_key(self) -> Union[bytes, Tuple[str, tuple]]:
+        """A hashable key equal for two streams iff their tuples are,
+        type for type.
+
+        ``==`` and ``hash`` identify ``1`` with ``1.0``, ``0.0`` with
+        ``-0.0`` and ``Fraction(1, 4)`` with ``0.25``, but the algebra
+        does not: ``+``, ``-`` and :meth:`filtered` of such twins build
+        different tuples.  Memos of those operations key on this
+        instead.  It is the stream's ``marshal`` bytes at version 2,
+        which keeps int, bool and float apart, keeps the sign of a zero
+        and writes no back-references (so equal tuples give equal
+        bytes however their objects are shared).  Values marshal cannot
+        write (a Fraction, a float subclass) fall back to their reprs
+        and types.  Built once per stream, on first use.
+        """
+        key = self._key
+        if key is None:
+            pair = (self._rates, self._times)
+            try:
+                key = marshal.dumps(pair, 2)
+            except ValueError:
+                key = repr(pair), tuple(map(type, chain(*pair)))
+            self._key = key
+        return key
 
     # ------------------------------------------------------------------
     # Basic accessors

@@ -20,6 +20,15 @@ reserve that follows can install the check's streams as they are.  On
 top the port keeps only the memoized
 :class:`~repro.core.delay_bound.ServiceCurve` of ``Sof(j)(p)``.
 
+The per-input step -- ``Sia +/- S`` and its filter -- goes through a
+step memo keyed on the exact operands (their
+:attr:`~repro.core.bitstream.BitStream.exact_key`, type for type).
+Inputs carry few legs drawn from a few hop streams, so most steps
+repeat an earlier one; a hit returns the tuples the computation would
+build.  :class:`~repro.core.switch_cac.SwitchCAC` hands one memo to
+all its ports, bounds it and empties it on a crash; a port built alone
+keeps its own.  The patched sum is computed every time.
+
 The object is *pure domain state*: no journaling, no two-phase
 bookkeeping, no metrics registry -- those belong to
 :class:`~repro.core.switch_cac.SwitchCAC` -- and it never reads another
@@ -39,13 +48,20 @@ from typing import Callable, Dict, Iterable, List, Mapping, Optional, Tuple
 from .bitstream import BitStream, Number, ZERO_STREAM, aggregate
 from .delay_bound import ServiceCurve
 
-__all__ = ["PortState", "CacheObserver", "Streams"]
+__all__ = ["PortState", "CacheObserver", "Streams", "StepMemo"]
 
 #: ``(hit, cache_name)`` callback counting memo hits/misses.
 CacheObserver = Callable[[bool, str], None]
 
 #: One aggregate's ``(Sia, Sif, sum_i Sif)`` for one input link.
 Streams = Tuple[BitStream, BitStream, BitStream]
+
+#: ``(Sia key, stream key, add, filter_per_input) -> (Sia', Sif')``: the
+#: per-input steps of every aggregate that shares it.
+StepMemo = Dict[tuple, Tuple[BitStream, BitStream]]
+
+#: Entries a step memo holds before it starts over.
+_STEP_MEMO_SIZE = 1024
 
 
 def _no_observer(_hit: bool, _cache: str) -> None:
@@ -56,13 +72,16 @@ class _Aggregate:
     """One Section 4.3 chain: per-input ``Sia`` -> ``Sif`` -> ``sum_i Sif``.
 
     ``total`` starts at the zero stream and is only ever patched, one
-    delta per mutation.
+    delta per mutation.  The per-input step ``Sia +/- S`` and its filter
+    go through ``steps``, a memo the aggregate shares with its owner's
+    other aggregates (see :meth:`step`).
     """
 
-    __slots__ = ("filter_per_input", "sia", "sif", "total")
+    __slots__ = ("filter_per_input", "steps", "sia", "sif", "total")
 
-    def __init__(self, filter_per_input: bool):
+    def __init__(self, filter_per_input: bool, steps: StepMemo):
         self.filter_per_input = filter_per_input
+        self.steps = steps
         #: Sia per incoming link -- the ground truth; zero entries popped.
         self.sia: Dict[str, BitStream] = {}
         #: Sif = filter(Sia) per incoming link.
@@ -74,17 +93,38 @@ class _Aggregate:
         """Per-input link filtering (identity in the ablation mode)."""
         return stream.filtered() if self.filter_per_input else stream
 
+    def step(self, in_link: str, stream: BitStream,
+             add: bool) -> Tuple[BitStream, BitStream]:
+        """``(Sia', filter(Sia'))`` for ``Sia' = Sia + stream`` (or ``-``).
+
+        ``+``, ``-`` and :meth:`BitStream.filtered` are functions of
+        their operands' tuples, type for type, so a step is memoized on
+        the operands' :attr:`~BitStream.exact_key` and a hit returns
+        exactly what the computation would build.  The memo starts over
+        when full.
+        """
+        old = self.sia.get(in_link, ZERO_STREAM)
+        key = (old.exact_key, stream.exact_key, add, self.filter_per_input)
+        steps = self.steps
+        result = steps.get(key)
+        if result is None:
+            new_sia = old + stream if add else old - stream
+            result = new_sia, self.filter(new_sia)
+            if len(steps) >= _STEP_MEMO_SIZE:
+                steps.clear()
+            steps[key] = result
+        return result
+
     def added(self, in_link: str, stream: BitStream) -> Streams:
         """What-if: ``(Sia, Sif, sum_i Sif)`` with ``stream`` added.
 
-        Mutates nothing.  The admission check builds its candidate
-        streams with it, and :meth:`apply` builds every add with it, so
-        a check's result and the add it precedes are the same floats.
-        The sum is one O(m) subtract-and-add delta against the patched
-        sum (:meth:`replaced`).
+        Mutates nothing but the step memo.  The admission check builds
+        its candidate streams with it, and :meth:`apply` builds every
+        add with it, so a check's result and the add it precedes are
+        the same floats.  The sum is one O(m) subtract-and-add delta
+        against the patched sum (:meth:`replaced`).
         """
-        new_sia = self.sia.get(in_link, ZERO_STREAM) + stream
-        new_sif = self.filter(new_sia)
+        new_sia, new_sif = self.step(in_link, stream, True)
         return new_sia, new_sif, self.replaced(in_link, new_sif)
 
     def apply(self, in_link: str, stream: BitStream, add: bool,
@@ -92,18 +132,18 @@ class _Aggregate:
         """Patch ``Sia``, ``Sif`` and the sum for one delta.
 
         A single ``+``/``-`` of the connection's stream (Algorithms
-        3.2/3.3) -- O(m) in the aggregate breakpoint count.  An add
-        installs ``streams`` when given: :meth:`added`'s result for
-        this very stream against the current state, which the caller
-        already holds from the admission check.
+        3.2/3.3) -- O(m) in the aggregate breakpoint count, unless the
+        step memo already holds it.  An add installs ``streams`` when
+        given: :meth:`added`'s result for this very stream against the
+        current state, which the caller already holds from the
+        admission check.
         """
         if add:
             new_sia, new_sif, total = (
                 streams if streams is not None
                 else self.added(in_link, stream))
         else:
-            new_sia = self.sia.get(in_link, ZERO_STREAM) - stream
-            new_sif = self.filter(new_sia)
+            new_sia, new_sif = self.step(in_link, stream, False)
             total = self.replaced(in_link, new_sif)
         if new_sia.is_zero:
             self.sia.pop(in_link, None)
@@ -146,6 +186,11 @@ class PortState:
         before being summed at the output port (the paper's scheme).
     on_cache:
         Optional ``(hit, cache_name)`` observer.
+    steps:
+        Optional memo of per-input steps (``Sia +/- S`` and its
+        filter), shared with the owner's other ports; by default the
+        port keeps its own.  The owner empties it with its other
+        volatile state.
     """
 
     __slots__ = ("out_link", "priority", "advertised_bound", "on_cache",
@@ -154,15 +199,17 @@ class PortState:
     def __init__(self, out_link: str, priority: int,
                  advertised_bound: Number,
                  filter_per_input: bool = True,
-                 on_cache: Optional[CacheObserver] = None):
+                 on_cache: Optional[CacheObserver] = None,
+                 steps: Optional[StepMemo] = None):
         self.out_link = out_link
         self.priority = priority
         self.advertised_bound = advertised_bound
         self.on_cache: CacheObserver = on_cache or _no_observer
+        steps = {} if steps is None else steps
         #: the port's own priority p.
-        self.own = _Aggregate(filter_per_input)
+        self.own = _Aggregate(filter_per_input, steps)
         #: every priority above p on the same out link.
-        self.higher = _Aggregate(filter_per_input)
+        self.higher = _Aggregate(filter_per_input, steps)
         #: memoized ServiceCurve of Sof(j)(p).
         self._service: Optional[ServiceCurve] = None
 
@@ -227,9 +274,9 @@ class PortState:
 
     def clear(self) -> None:
         """Drop every aggregate and the memo (crash / restore preamble)."""
-        filter_per_input = self.filter_per_input
-        self.own = _Aggregate(filter_per_input)
-        self.higher = _Aggregate(filter_per_input)
+        filter_per_input, steps = self.filter_per_input, self.own.steps
+        self.own = _Aggregate(filter_per_input, steps)
+        self.higher = _Aggregate(filter_per_input, steps)
         self._service = None
 
     def verify_against(self, fresh: Mapping[Tuple[str, str, int], BitStream],

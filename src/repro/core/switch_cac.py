@@ -69,7 +69,7 @@ from ..obs import spans as _ospans
 from ..robustness.journal import AdmissionJournal
 from .bitstream import BitStream, Number, ZERO_STREAM
 from .delay_bound import backlog_bound_with_higher, delay_bound
-from .port_state import PortState, Streams
+from .port_state import PortState, StepMemo, Streams
 
 __all__ = ["SwitchCAC", "Leg", "CheckResult", "PriorityBoundViolation"]
 
@@ -233,6 +233,8 @@ class SwitchCAC:
         self._results: Dict[str, CheckResult] = {}
         #: admitted long-run rate per incoming link.
         self._in_link_rate: Dict[str, Number] = {}
+        #: the per-input step memo every port's aggregates share.
+        self._steps: StepMemo = {}
         #: stable storage: survives crash(), drives recover().
         self._journal = AdmissionJournal()
         self._crashed = False
@@ -300,7 +302,8 @@ class SwitchCAC:
             if port is None:
                 port = PortState(out_link, priority, bounds[priority],
                                  filter_per_input=self.filter_per_input,
-                                 on_cache=self._count_cache)
+                                 on_cache=self._count_cache,
+                                 steps=self._steps)
             port.advertised_bound = bounds[priority]
             ports[priority] = port
         self._ports[out_link] = ports
@@ -476,17 +479,25 @@ class SwitchCAC:
         because only the route knows the accumulated CDV).
         """
         obs = self._rebind()
-        if not obs.enabled and not _ospans._tracer.enabled:
+        tracer = _ospans._tracer
+        if not obs.enabled and not tracer.enabled:
             return self._check_impl(in_link, out_link, priority, stream)
-        with _ospans.span("admission.check", switch=self.name,
-                          out_link=out_link, priority=priority):
-            start = _oclock.get_clock().now()
+        # One pair of clock reads times both the histogram and the span.
+        now = _oclock._clock.now
+        start = now()
+        try:
             result = self._check_impl(in_link, out_link, priority, stream)
-            if obs.enabled:
-                obs.checks.inc()
-                obs.check_seconds.observe(_oclock.get_clock().now() - start)
-                if not result.admitted:
-                    obs.check_rejections.inc()
+        finally:
+            end = now()
+            if tracer.enabled:
+                tracer.leaf("admission.check", start, end, {
+                    "switch": self.name, "out_link": out_link,
+                    "priority": priority})
+        if obs.enabled:
+            obs.checks.inc()
+            obs.check_seconds.observe(end - start)
+            if not result.admitted:
+                obs.check_rejections.inc()
         return result
 
     def _check_impl(self, in_link: str, out_link: str, priority: int,
@@ -705,7 +716,8 @@ class SwitchCAC:
         return leg
 
     def _clear(self) -> None:
-        """Drop legs, results, the in-link ledger and every aggregate.
+        """Drop legs, results, the in-link ledger, every aggregate and
+        the step memo.
 
         Port configuration (advertised bounds) survives: it is boot
         configuration, not run-time state.
@@ -714,6 +726,7 @@ class SwitchCAC:
         self._pending.clear()
         self._results.clear()
         self._in_link_rate.clear()
+        self._steps.clear()
         for ports in self._ports.values():
             for port in ports.values():
                 port.clear()

@@ -53,9 +53,9 @@ class SystemClock:
 
     __slots__ = ()
 
-    def now(self) -> float:
-        """Seconds on the process-local monotonic clock."""
-        return time.perf_counter()
+    #: Seconds on the process-local monotonic clock; the builtin itself,
+    #: so a timed hot path pays no Python frame per read.
+    now = staticmethod(time.perf_counter)
 
     def __repr__(self) -> str:
         return "SystemClock()"

@@ -83,9 +83,20 @@ class TestSpanMechanics:
             pass
         assert tracer.roots[0].end == 1.0
 
+    def test_leaf_is_placed_where_span_would_put_it(self):
+        tracer = Tracer(clock=ManualClock(), keep=2)
+        with tracer.span("outer") as outer:
+            inner = tracer.leaf("inner", 1.0, 3.0, {"k": 1})
+        assert outer.children == [inner]
+        assert (inner.start, inner.end, inner.duration, inner.tags) == (
+            1.0, 3.0, 2.0, {"k": 1})
+        roots = [tracer.leaf("root", t, t + 1.0, {}) for t in (5.0, 6.0)]
+        assert tracer.roots == roots
+
     def test_null_tracer_is_inert(self):
         with NULL_TRACER.span("anything", x=1) as span:
             span.tag(y=2)
+        NULL_TRACER.leaf("anything", 0.0, 1.0, {})
         assert NULL_TRACER.roots == []
         assert span.find("anything") == []
 
