@@ -15,10 +15,10 @@ instances of one private aggregate:
 Each instance keeps per-input ``Sia`` (the ground truth), per-input
 ``Sif = filter(Sia)`` and the patched sum ``sum_i Sif``, all patched by
 one ``+``/``-`` delta per admit/release.  An add is built by the
-instance's what-if, which the admission check calls first, so the
-reserve that follows can install the check's streams as they are.  On
-top the port keeps only the memoized
-:class:`~repro.core.delay_bound.ServiceCurve` of ``Sof(j)(p)``.
+instance's what-if, which the admission check calls first; the
+instance keeps its last what-if, so the reserve that follows installs
+the check's streams as they are.  On top the port keeps only the
+memoized :class:`~repro.core.delay_bound.ServiceCurve` of ``Sof(j)(p)``.
 
 The per-input step -- ``Sia +/- S`` and its filter -- goes through a
 step memo keyed on the exact operands (their
@@ -74,10 +74,12 @@ class _Aggregate:
     ``total`` starts at the zero stream and is only ever patched, one
     delta per mutation.  The per-input step ``Sia +/- S`` and its filter
     go through ``steps``, a memo the aggregate shares with its owner's
-    other aggregates (see :meth:`step`).
+    other aggregates (see :meth:`step`).  The last what-if is kept as
+    well (see :meth:`added`).
     """
 
-    __slots__ = ("filter_per_input", "steps", "sia", "sif", "total")
+    __slots__ = ("filter_per_input", "steps", "sia", "sif", "total",
+                 "_last")
 
     def __init__(self, filter_per_input: bool, steps: StepMemo):
         self.filter_per_input = filter_per_input
@@ -88,6 +90,8 @@ class _Aggregate:
         self.sif: Dict[str, BitStream] = {}
         #: sum_i Sif, before any output filter.
         self.total: BitStream = ZERO_STREAM
+        #: ``(total, stream, in_link, what-if)`` of the last :meth:`added`.
+        self._last: Optional[Tuple[BitStream, BitStream, str, Streams]] = None
 
     def filter(self, stream: BitStream) -> BitStream:
         """Per-input link filtering (identity in the ablation mode)."""
@@ -118,30 +122,39 @@ class _Aggregate:
     def added(self, in_link: str, stream: BitStream) -> Streams:
         """What-if: ``(Sia, Sif, sum_i Sif)`` with ``stream`` added.
 
-        Mutates nothing but the step memo.  The admission check builds
-        its candidate streams with it, and :meth:`apply` builds every
-        add with it, so a check's result and the add it precedes are
-        the same floats.  The sum is one O(m) subtract-and-add delta
-        against the patched sum (:meth:`replaced`).
-        """
-        new_sia, new_sif = self.step(in_link, stream, True)
-        return new_sia, new_sif, self.replaced(in_link, new_sif)
+        Mutates nothing but the step memo and the last what-if.  The
+        admission check builds its candidate streams with it, and
+        :meth:`apply` builds every add with it, so a check's result and
+        the add it precedes are the same floats.  The sum is one O(m)
+        subtract-and-add delta against the patched sum (:meth:`replaced`).
 
-    def apply(self, in_link: str, stream: BitStream, add: bool,
-              streams: Optional[Streams] = None) -> None:
+        The last what-if is returned again for the same stream object
+        and in-link while ``total`` is the same object: every mutation
+        installs a freshly patched sum, and the kept tuple holds the old
+        one, whose identity therefore cannot be reused.  So the add
+        right after a check installs the check's own streams, and a
+        what-if built against an older state is never installed.
+        """
+        total = self.total
+        last = self._last
+        if (last is not None and last[0] is total and last[1] is stream
+                and last[2] == in_link):
+            return last[3]
+        new_sia, new_sif = self.step(in_link, stream, True)
+        streams = new_sia, new_sif, self.replaced(in_link, new_sif)
+        self._last = total, stream, in_link, streams
+        return streams
+
+    def apply(self, in_link: str, stream: BitStream, add: bool) -> None:
         """Patch ``Sia``, ``Sif`` and the sum for one delta.
 
         A single ``+``/``-`` of the connection's stream (Algorithms
         3.2/3.3) -- O(m) in the aggregate breakpoint count, unless the
-        step memo already holds it.  An add installs ``streams`` when
-        given: :meth:`added`'s result for this very stream against the
-        current state, which the caller already holds from the
-        admission check.
+        step memo already holds it.  An add installs :meth:`added`'s
+        result, the admission check's own streams when it just ran.
         """
         if add:
-            new_sia, new_sif, total = (
-                streams if streams is not None
-                else self.added(in_link, stream))
+            new_sia, new_sif, total = self.added(in_link, stream)
         else:
             new_sia, new_sif = self.step(in_link, stream, False)
             total = self.replaced(in_link, new_sif)
@@ -251,29 +264,23 @@ class PortState:
             self.on_cache(True, "service")
         return cached
 
-    def apply_same(self, in_link: str, stream: BitStream, add: bool,
-                   streams: Optional[Streams] = None) -> None:
-        """Patch the ``own`` instance for one admit/release delta.
+    def apply_same(self, in_link: str, stream: BitStream, add: bool) -> None:
+        """Patch the ``own`` instance for one admit/release delta."""
+        self.own.apply(in_link, stream, add)
 
-        ``streams``, for an add only, is ``own.added(in_link, stream)``
-        as the admission check computed it (see :meth:`_Aggregate.apply`).
-        """
-        self.own.apply(in_link, stream, add, streams)
-
-    def apply_higher(self, in_link: str, stream: BitStream, add: bool,
-                     streams: Optional[Streams] = None) -> None:
+    def apply_higher(self, in_link: str, stream: BitStream,
+                     add: bool) -> None:
         """Patch the ``higher`` instance after a higher-priority delta.
 
         Invoked on every *lower*-priority port of the link when a
         stream is admitted/released above it; the interference changed,
-        so the memoized ServiceCurve is dropped.  ``streams`` is as in
-        :meth:`apply_same`, for the ``higher`` instance.
+        so the memoized ServiceCurve is dropped.
         """
-        self.higher.apply(in_link, stream, add, streams)
+        self.higher.apply(in_link, stream, add)
         self._service = None
 
     def clear(self) -> None:
-        """Drop every aggregate and the memo (crash / restore preamble)."""
+        """Drop both aggregates and the ServiceCurve memo (crash, replay)."""
         filter_per_input, steps = self.filter_per_input, self.own.steps
         self.own = _Aggregate(filter_per_input, steps)
         self.higher = _Aggregate(filter_per_input, steps)

@@ -59,8 +59,8 @@ state.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Mapping, Optional, Tuple
 
 from ..exceptions import AdmissionError, SwitchRejection, SwitchUnavailable
 from ..obs import clock as _oclock
@@ -69,7 +69,7 @@ from ..obs import spans as _ospans
 from ..robustness.journal import AdmissionJournal
 from .bitstream import BitStream, Number, ZERO_STREAM
 from .delay_bound import backlog_bound_with_higher, delay_bound
-from .port_state import PortState, StepMemo, Streams
+from .port_state import PortState, StepMemo
 
 __all__ = ["SwitchCAC", "Leg", "CheckResult", "PriorityBoundViolation"]
 
@@ -174,20 +174,12 @@ class CheckResult:
     connection admitted*; ``violations`` lists the priorities whose
     bound would exceed the advertised guarantee.  The connection passes
     iff ``violations`` is empty.
-
-    ``_streams`` is private to the switch and left out of ``==`` and
-    ``repr``: the check's what-if streams, keyed by port priority
-    -- the candidate port's ``own`` instance and the ``higher`` instance
-    of every lower port it checked -- which the reserve or admit that
-    follows installs instead of recomputing.
     """
 
     switch: str
     out_link: str
     computed_bounds: Mapping[int, Number]
     violations: Tuple[PriorityBoundViolation, ...]
-    _streams: Mapping[int, Streams] = field(
-        default_factory=dict, compare=False, repr=False)
 
     @property
     def admitted(self) -> bool:
@@ -390,8 +382,7 @@ class SwitchCAC:
     # Incremental state transitions
     # ------------------------------------------------------------------
 
-    def _apply(self, leg: Leg, add: bool,
-               streams: Mapping[int, Streams]) -> None:
+    def _apply(self, leg: Leg, add: bool) -> None:
         """Patch every aggregate for one admit/release delta.
 
         The leg's stream is added to (or removed from) the in-link
@@ -400,13 +391,11 @@ class SwitchCAC:
         each (Algorithms 3.2/3.3).  No port reads another, so each
         port's floats depend only on the sequence of deltas it sees:
         the incremental arithmetic :meth:`recover` relies on for
-        bit-identical replay.  An add installs the what-if streams
-        ``streams`` holds for a port (keyed by priority, as on
-        :class:`CheckResult`) and computes the rest; both give the same
-        floats, so replay, which holds none, reaches the same state.
-        Only the final output filter and the ServiceCurve of affected
-        lower priorities are recomputed, on the next check that needs
-        them.
+        bit-identical replay.  An add right after a check installs the
+        what-if streams each aggregate kept from it; replay, which runs
+        no check, computes them and reaches the same floats.  Only the
+        final output filter and the ServiceCurve of affected lower
+        priorities are recomputed, on the next check that needs them.
         """
         obs = self._rebind()
         if obs.enabled:
@@ -416,14 +405,11 @@ class SwitchCAC:
         base = self._in_link_rate.get(in_link, 0)
         self._in_link_rate[in_link] = (base + rate) if add else (base - rate)
         for lower in self._ports_below(leg.out_link, leg.priority):
-            lower.apply_higher(in_link, stream, add,
-                               streams.get(lower.priority))
-        self.port(leg.out_link, leg.priority).apply_same(
-            in_link, stream, add, streams.get(leg.priority))
+            lower.apply_higher(in_link, stream, add)
+        self.port(leg.out_link, leg.priority).apply_same(in_link, stream, add)
 
     def _transition(self, op: str, connection_id: str,
-                    leg: Optional[Leg] = None,
-                    result: Optional[CheckResult] = None) -> Leg:
+                    leg: Optional[Leg] = None) -> Leg:
         """Run one journal op on the legs and aggregates; return its leg.
 
         The one definition of the five ops: ``reserve`` and ``admit``
@@ -432,21 +418,14 @@ class SwitchCAC:
         ``release`` drop a pending or committed leg and subtract its
         stream.  Live operations validate, then reach this through
         :meth:`_record`; :meth:`recover` replays the journal through it
-        directly, so replay repeats the live arithmetic op for op.
-
-        A live ``reserve`` or ``admit`` passes the :class:`CheckResult`
-        of the check it just ran, and the add installs that check's
-        streams.  They were computed against the state they patch,
-        because nothing runs between the check and this call: the
-        caller only journals the op in between, and no other leg can
-        interleave with one synchronous method call.
+        directly with the same arguments, so replay repeats the live
+        arithmetic op for op.
         """
         if op in ("reserve", "admit"):
             assert leg is not None, f"a {op!r} op carries its leg"
             booked = self._pending if op == "reserve" else self._committed
             booked[connection_id] = leg
-            self._apply(leg, add=True, streams=(
-                {} if result is None else result._streams))
+            self._apply(leg, add=True)
             return leg
         self._results.pop(connection_id, None)
         if op == "commit":
@@ -455,15 +434,14 @@ class SwitchCAC:
             return leg
         held = self._pending if op == "abort" else self._committed
         leg = held.pop(connection_id)
-        self._apply(leg, add=False, streams={})
+        self._apply(leg, add=False)
         return leg
 
     def _record(self, op: str, connection_id: str,
-                leg: Optional[Leg] = None,
-                result: Optional[CheckResult] = None) -> Leg:
+                leg: Optional[Leg] = None) -> Leg:
         """Journal one op, then run it (:meth:`_transition`)."""
         self._journal.append(op, connection_id, leg)
-        return self._transition(op, connection_id, leg, result)
+        return self._transition(op, connection_id, leg)
 
     # ------------------------------------------------------------------
     # Admission (Steps 1-6)
@@ -525,10 +503,9 @@ class SwitchCAC:
 
         computed: Dict[int, Number] = {}
         violations: List[PriorityBoundViolation] = []
-        streams: Dict[int, Streams] = {}
 
         # Step 2-4: the new connection's own priority.
-        own = streams[priority] = port.own.added(in_link, stream)
+        own = port.own.added(in_link, stream)
         bound = delay_bound(own[2], service=port.service())
         computed[priority] = bound
         if bound > port.advertised_bound:
@@ -541,8 +518,7 @@ class SwitchCAC:
             soa_lower = lower_port.soa()
             if soa_lower.is_zero:
                 continue  # no traffic to disturb
-            higher = streams[lower_port.priority] = \
-                lower_port.higher.added(in_link, stream)
+            higher = lower_port.higher.added(in_link, stream)
             bound = delay_bound(soa_lower, higher[2].filtered())
             computed[lower_port.priority] = bound
             if bound > lower_port.advertised_bound:
@@ -555,7 +531,6 @@ class SwitchCAC:
             out_link=out_link,
             computed_bounds=computed,
             violations=tuple(violations),
-            _streams=streams,
         )
 
     def _unbounded(self, priority: int, port: PortState) -> CheckResult:
@@ -596,7 +571,7 @@ class SwitchCAC:
             )
         leg = Leg(connection_id, in_link, out_link, priority, stream)
         result = self._checked(leg)
-        self._record("admit", connection_id, leg, result)
+        self._record("admit", connection_id, leg)
         self._rebind().admits.inc()
         return result
 
@@ -659,7 +634,7 @@ class SwitchCAC:
                 )
             return self._results[connection_id]
         result = self._results[connection_id] = self._checked(leg)
-        self._record("reserve", connection_id, leg, result)
+        self._record("reserve", connection_id, leg)
         self._rebind().reserves.inc()
         return result
 
@@ -772,55 +747,6 @@ class SwitchCAC:
         obs.recoveries_verified.inc()
 
     # ------------------------------------------------------------------
-    # Snapshot / restore
-    # ------------------------------------------------------------------
-
-    def snapshot_state(self) -> Dict[str, List[Leg]]:
-        """The state-determining legs (committed and pending), in order.
-
-        Legs fully determine every aggregate, so this is the whole
-        story.  See :func:`repro.network.serialization.switch_state_to_dict`
-        for the JSON-safe form.
-        """
-        return {"committed": list(self._committed.values()),
-                "pending": list(self._pending.values())}
-
-    def restore_state(self, snapshot: Mapping[str, Sequence[Leg]]) -> None:
-        """Boot-time restore of a :meth:`snapshot_state` leg snapshot.
-
-        Requires an empty (freshly configured) switch.  Every restored
-        leg is journaled -- committed legs as one-shot ``admit``
-        entries, pending legs as ``reserve`` -- so a later
-        :meth:`crash`/:meth:`recover` cycle still replays to exactly
-        this state.  Each pending leg is checked first, as
-        :meth:`reserve` does, and keeps that result for a re-delivered
-        SETUP; one that no longer passes raises :class:`AdmissionError`
-        naming it, with the legs before it already restored.
-        """
-        self._ensure_up()
-        if self._committed or self._pending:
-            raise AdmissionError(
-                f"switch {self.name!r} is not empty; restore_state is a "
-                f"boot-time operation"
-            )
-        for leg in snapshot.get("committed", ()):
-            self._record("admit", leg.connection_id, leg)
-        for leg in snapshot.get("pending", ()):
-            try:
-                result = self._results[leg.connection_id] = \
-                    self._checked(leg)
-            except SwitchRejection as rejection:
-                raise AdmissionError(
-                    f"restored reservation {leg.connection_id!r} no longer "
-                    f"passes at switch {self.name!r}: {rejection}"
-                ) from rejection
-            self._record("reserve", leg.connection_id, leg, result)
-        if not self.verify_consistency():
-            raise AdmissionError(
-                f"restore left switch {self.name!r} with inconsistent caches"
-            )
-
-    # ------------------------------------------------------------------
     # Diagnostics
     # ------------------------------------------------------------------
 
@@ -879,11 +805,12 @@ class SwitchCAC:
     def verify_consistency(self, tolerance: float = 1e-9) -> bool:
         """True when every incremental aggregate matches a fresh rebuild.
 
-        Checks the in-link ledger and both aggregates of every port --
-        ``Sia`` ground truth and patched output sum, own priority and
-        higher priorities -- against values
-        recomputed from the per-leg streams alone, so a switch that
-        corrupts or loses state cannot pass.
+        Checks every in-link ledger entry, also of in-links that no
+        longer carry legs, and both aggregates of every port -- ``Sia``
+        ground truth and patched output sum, own priority and higher
+        priorities -- against values recomputed from the per-leg
+        streams alone, so a switch that corrupts or loses state cannot
+        pass.
         """
         fresh = self.recompute_aggregates()
         in_rates: Dict[str, Number] = {}
@@ -892,8 +819,9 @@ class SwitchCAC:
                 return False  # a leg on a port the switch no longer has
             in_rates[in_link] = in_rates.get(in_link, 0) \
                 + stream.long_run_rate
-        for in_link, expected in in_rates.items():
-            if abs(self._in_link_rate.get(in_link, 0) - expected) > tolerance:
+        for in_link in in_rates.keys() | self._in_link_rate.keys():
+            if abs(self._in_link_rate.get(in_link, 0)
+                   - in_rates.get(in_link, 0)) > tolerance:
                 return False
         return all(port.verify_against(fresh, tolerance)
                    for ports in self._ports.values()

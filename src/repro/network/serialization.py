@@ -6,15 +6,17 @@ connections off-line"); that workflow needs network descriptions and
 connection sets that live in files.  Everything here round-trips
 through plain dicts of JSON types -- rationals are encoded as "p/q"
 strings so exact traffic contracts survive the trip.
+:class:`~repro.core.server.CacServer` persists its connection set with
+these forms and restores it by setting each connection up again; a
+single switch rebuilds its state only by journal replay
+(:meth:`~repro.core.switch_cac.SwitchCAC.recover`).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Any, Dict, List, Mapping, Union
+from typing import Any, Dict, Mapping, Union
 
-from ..core.bitstream import BitStream
-from ..core.switch_cac import Leg
 from ..core.traffic import VBRParameters
 from ..exceptions import ReproError
 from .connection import ConnectionRequest
@@ -30,12 +32,6 @@ __all__ = [
     "network_from_dict",
     "request_to_dict",
     "request_from_dict",
-    "stream_to_dict",
-    "stream_from_dict",
-    "leg_to_dict",
-    "leg_from_dict",
-    "switch_state_to_dict",
-    "switch_state_from_dict",
 ]
 
 
@@ -156,73 +152,3 @@ def request_from_dict(data: Mapping[str, Any],
         )
     except KeyError as err:
         raise SerializationError(f"request dict missing {err}") from None
-
-
-def stream_to_dict(stream: BitStream) -> Dict[str, Any]:
-    """Serialize a worst-case arrival stream (exact breakpoints)."""
-    return {
-        "times": [number_to_json(t) for t in stream.times],
-        "rates": [number_to_json(r) for r in stream.rates],
-    }
-
-
-def stream_from_dict(data: Mapping[str, Any]) -> BitStream:
-    """Rebuild a stream serialized by :func:`stream_to_dict`."""
-    try:
-        times = [number_from_json(t) for t in data["times"]]
-        rates = [number_from_json(r) for r in data["rates"]]
-    except KeyError as err:
-        raise SerializationError(f"stream dict missing {err}") from None
-    return BitStream(rates, times)
-
-
-def leg_to_dict(leg: Leg) -> Dict[str, Any]:
-    """Serialize one switch leg (id, ports, priority, exact stream)."""
-    return {
-        "connection_id": leg.connection_id,
-        "in_link": leg.in_link,
-        "out_link": leg.out_link,
-        "priority": leg.priority,
-        "stream": stream_to_dict(leg.stream),
-    }
-
-
-def leg_from_dict(data: Mapping[str, Any]) -> Leg:
-    """Rebuild a leg serialized by :func:`leg_to_dict`."""
-    try:
-        return Leg(
-            connection_id=data["connection_id"],
-            in_link=data["in_link"],
-            out_link=data["out_link"],
-            priority=data["priority"],
-            stream=stream_from_dict(data["stream"]),
-        )
-    except KeyError as err:
-        raise SerializationError(f"leg dict missing {err}") from None
-
-
-def switch_state_to_dict(snapshot: Mapping[str, Any]) -> Dict[str, Any]:
-    """Serialize a :meth:`SwitchCAC.snapshot_state` leg snapshot.
-
-    The legs fully determine every aggregate, so this round trip is a
-    complete persistence story for one switch: restore with
-    :func:`switch_state_from_dict` into
-    :meth:`SwitchCAC.restore_state` on a freshly configured switch
-    (journaled, so crash recovery replays to the restored state).
-    """
-    return {
-        "committed": [leg_to_dict(leg)
-                      for leg in snapshot.get("committed", ())],
-        "pending": [leg_to_dict(leg)
-                    for leg in snapshot.get("pending", ())],
-    }
-
-
-def switch_state_from_dict(data: Mapping[str, Any]) -> Dict[str, List[Leg]]:
-    """Rebuild a leg snapshot serialized by :func:`switch_state_to_dict`."""
-    return {
-        "committed": [leg_from_dict(item)
-                      for item in data.get("committed", [])],
-        "pending": [leg_from_dict(item)
-                    for item in data.get("pending", [])],
-    }

@@ -337,6 +337,9 @@ class ChurnEngine:
         if self._events_fired >= self._budget:
             return
         self._events_fired += 1
+        registry = _om.get_registry()
+        if registry.enabled:
+            registry.counter("churn_arrivals_total", cls=cls.name).inc()
         # Every draw happens up front, in fixed order, so the arrival
         # process -- pairs, holding times, the whole future schedule --
         # is identical whatever the policy decides below.
@@ -349,9 +352,6 @@ class ChurnEngine:
         name = f"c{self._sequence:06d}"
         self._sequence += 1
         if self._plane is not None:
-            registry = _om.get_registry()
-            if registry.enabled:
-                registry.counter("churn_arrivals_total", cls=cls.name).inc()
             routes = list(self.policy.routes(self.cac, self.network,
                                              src, dst))
             self._launch_attempt(name, cls, routes, 0, holding)
@@ -370,25 +370,16 @@ class ChurnEngine:
                 continue
             admitted = route.link_names
             break
-        registry = _om.get_registry()
         if admitted:
             handle = self.engine.schedule_in(
                 holding, partial(self._departure, name, cls.name))
             self._active[name] = (cls.name, handle)
             self._record("arrival", name, cls.name, "admitted",
                          attempts, admitted)
+            self._count_outcome(cls.name, "admitted", attempts)
         else:
             self._record("arrival", name, cls.name, "blocked", attempts)
-        if registry.enabled:
-            registry.counter("churn_arrivals_total", cls=cls.name).inc()
-            outcome = "admitted" if admitted else "blocked"
-            registry.counter("churn_outcomes_total", cls=cls.name,
-                             outcome=outcome).inc()
-            if attempts > 1:
-                registry.counter("churn_retries_total",
-                                 cls=cls.name).inc(attempts - 1)
-            registry.gauge("churn_active_connections").set_max(
-                len(self._active))
+            self._count_outcome(cls.name, "blocked", attempts)
 
     def _launch_attempt(self, name: str, cls: TrafficClass,
                         routes: Sequence, index: int,

@@ -3,7 +3,7 @@
 The layering contract (``docs/architecture.md``): a pure
 :class:`PortState` per (out_link, priority) owns the aggregates and
 incremental caches; :class:`SwitchCAC` holds every port and leg of one
-switch, iterates deterministically, and snapshots/restores the legs.
+switch, iterates deterministically, and rebuilds them by journal replay.
 """
 
 from fractions import Fraction as F
@@ -12,7 +12,6 @@ import pytest
 
 from repro.core import SwitchCAC
 from repro.core.port_state import PortState
-from repro.core.switch_cac import Leg
 from repro.core.traffic import cbr
 from repro.exceptions import AdmissionError
 
@@ -137,65 +136,18 @@ def test_drive_crash_and_recover_restore_the_committed_state():
         assert streams_equal(switch.soa(link, priority), soa)
 
 
-def test_snapshot_restore_round_trip():
-    source = drive(SwitchCAC("sw"))
-    source.reserve("vc5", "in-a", "out-b", 2, stream(F(1, 20)))
-    snapshot = source.snapshot_state()
-    assert [leg.connection_id for leg in snapshot["committed"]] == \
-        list(source.legs)
-    assert [leg.connection_id for leg in snapshot["pending"]] == ["vc5"]
-
-    target = SwitchCAC("sw2")
-    for link in source.out_links():
-        target.configure_link(link, {0: 32, 2: 96})
-    target.restore_state(snapshot)
-    assert list(target.legs) == list(source.legs)
-    assert list(target.pending) == ["vc5"]
-    assert target.verify_consistency()
-    # the restore journaled everything: crash recovery still works and
-    # discards the restored (uncommitted) reservation
-    target.crash()
-    target.recover()
-    assert list(target.legs) == list(source.legs)
-    assert not target.pending
-
-
-def test_restored_reservation_replays_its_check_result():
-    source = SwitchCAC("sw")
-    source.configure_link("out", {0: 32})
-    original = source.reserve("vc", "in", "out", 0, stream(F(1, 4)))
-    target = SwitchCAC("sw2")
-    target.configure_link("out", {0: 32})
-    target.restore_state(source.snapshot_state())
-    # a re-delivered SETUP of the restored reservation is idempotent
-    replayed = target.reserve("vc", "in", "out", 0, stream(F(1, 4)))
-    assert replayed is not None and replayed.admitted
-    assert replayed.computed_bounds == original.computed_bounds
-    assert list(target.pending) == ["vc"]
-    target.commit("vc")
-    assert list(target.legs) == ["vc"]
-    assert target.verify_consistency()
-
-
-def test_restore_refuses_a_reservation_that_no_longer_passes():
-    target = SwitchCAC("sw")
-    target.configure_link("out", {0: 32})
-    snapshot = {
-        "committed": [Leg("vc0", "in", "out", 0, stream(F(3, 4)))],
-        "pending": [Leg("vc1", "in", "out", 0, stream(F(1, 2)))],
-    }
-    # together the legs overload in-link "in"
-    with pytest.raises(AdmissionError, match="'vc1' no longer passes"):
-        target.restore_state(snapshot)
-    assert list(target.legs) == ["vc0"]
-    assert not target.pending
-    assert target.verify_consistency()
-
-
-def test_restore_state_requires_empty_switch():
-    switch = drive(SwitchCAC("sw"))
-    with pytest.raises(AdmissionError, match="not empty"):
-        switch.restore_state({"committed": [], "pending": []})
+def test_verify_consistency_audits_idle_in_link_entries():
+    """The check reads an idle in-link's ledger entry, so the audit must
+    too: a corrupted entry there fails it."""
+    switch = SwitchCAC("sw")
+    switch.configure_link("out", {0: 32})
+    switch.admit("vc0", "x", "out", 0, stream(F(1, 4)))
+    switch.release("vc0")
+    assert switch.verify_consistency()
+    switch._in_link_rate["x"] = 0.9
+    assert not switch.check("x", "out", 0, cbr(0.2).worst_case_stream()
+                            ).admitted
+    assert not switch.verify_consistency()
 
 
 def test_out_links_and_priorities_are_sorted():

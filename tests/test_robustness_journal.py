@@ -244,7 +244,7 @@ def _stream_key(stream_):
 
 
 def state_hash(cac):
-    """A float.hex hash of every port and every switch's leg snapshot."""
+    """A float.hex hash of every port and every switch's legs."""
     hasher = hashlib.sha256()
     for name, switch in sorted(cac.switches().items()):
         for link in switch.out_links():
@@ -255,11 +255,11 @@ def state_hash(cac):
                     _stream_key(switch.sof_higher(link, priority)),
                     _hex(switch.computed_bound(link, priority)),
                 )).encode())
-        snapshot = switch.snapshot_state()
         hasher.update(repr(tuple(
             (leg.connection_id, leg.in_link, leg.out_link, leg.priority,
              _stream_key(leg.stream))
-            for kind in ("committed", "pending") for leg in snapshot[kind]
+            for legs in (switch.legs, switch.pending)
+            for leg in legs.values()
         )).encode())
     return hasher.hexdigest()
 

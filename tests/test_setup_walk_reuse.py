@@ -70,6 +70,56 @@ def test_exact_reserve_installs_the_checks_streams(monkeypatch):
     assert switch.verify_consistency()
 
 
+def installed(switch):
+    """Every port's per-input ``Sia``/``Sif`` and sums, both instances."""
+    streams = []
+    for link in switch.out_links():
+        for priority in switch.priorities(link):
+            port = switch.port(link, priority)
+            for instance in (port.own, port.higher):
+                for in_link in sorted(instance.sia):
+                    streams += instance.sia[in_link], instance.sif[in_link]
+                streams.append(instance.total)
+    return streams
+
+
+@pytest.mark.parametrize("between", ["release", "admit"])
+@pytest.mark.parametrize("bounds", [{0: 64.0}, {0: 64.0, 1: 128.0}],
+                         ids=["one-priority", "two-priorities"])
+def test_a_stale_what_if_is_never_installed(bounds, between):
+    """``check(s1)``, then another leg on the same in-link and port
+    leaves or arrives (with the very same stream object, as the hop
+    stream memo hands out), then ``reserve(s1)``: the reserve installs
+    what a twin that never ran the check installs, type for type."""
+    s1 = cbr(0.125).worst_case_stream().delayed(8.0)
+
+    def loaded():
+        switch = SwitchCAC("sw")
+        switch.configure_link("out", bounds)
+        switch.admit("old", "in", "out", 0,
+                     cbr(0.1).worst_case_stream().delayed(4.0))
+        if 1 in bounds:
+            switch.admit("low", "in", "out", 1,
+                         cbr(0.05).worst_case_stream())
+        return switch
+
+    def finish(switch):
+        if between == "release":
+            switch.release("old")
+        else:
+            switch.admit("other", "in", "out", 0, s1)
+        switch.reserve("vc", "in", "out", 0, s1)
+        return installed(switch)
+
+    switch, twin = loaded(), loaded()
+    assert switch.check("in", "out", 0, s1).admitted
+    streams, expected = finish(switch), finish(twin)
+    assert len(streams) == len(expected)
+    for stream, reference in zip(streams, expected):
+        assert_route_identity(stream, reference)
+    assert switch.verify_consistency()
+
+
 def test_repeated_setups_build_routes_and_hop_streams_once(monkeypatch):
     """20 walks of one 4-hop dual-ring route: one route search, and one
     clumped stream per upstream CDV."""
@@ -210,7 +260,8 @@ def test_step_memo_is_bounded():
     streams = [cbr(1 / denominator).worst_case_stream()
                for denominator in range(2, _STEP_MEMO_SIZE + 10)]
     for stream in streams + streams[:3]:
-        own = switch.check("in", "out", 0, stream)._streams[0]
+        switch.check("in", "out", 0, stream)
+        own = switch.port("out", 0).own.added("in", stream)
         assert_same_tuples(own[:2], direct_step(ZERO_STREAM, stream, True))
         assert len(switch._steps) <= _STEP_MEMO_SIZE
 

@@ -14,6 +14,8 @@ from repro.core.admission import NetworkCAC
 from repro.core.traffic import cbr
 from repro.exceptions import TrafficModelError
 from repro.network.topology import star_network
+from repro.obs import metrics as om
+from repro.obs.metrics import MetricsRegistry
 from repro.robustness.harness import no_double_booking
 from repro.workload import (
     ChurnEngine,
@@ -221,6 +223,45 @@ class TestSetupLatency:
         with pytest.raises(TrafficModelError, match="setup_latency"):
             ChurnEngine(NetworkCAC(net), [cls], pairs=[("t0", "t1")],
                         setup_latency=-1.0)
+
+
+class TestCounters:
+    """The churn metric families count what the ledger records, on the
+    synchronous path and on the admission plane alike."""
+
+    @pytest.mark.parametrize("latency", [
+        {}, dict(setup_latency=2.0, reservation_ttl=40.0)],
+        ids=["synchronous", "plane"])
+    def test_counters_match_the_ledger(self, latency):
+        scen = ChurnScenario(**RING, events=300, seed=11, offered_load=4.0,
+                             policy="k-alternate", k=2, **latency)
+        net = scen.build_network()
+        registry = MetricsRegistry()
+        previous = om.set_registry(registry)
+        try:
+            engine = ChurnEngine(
+                NetworkCAC(net, rng=random.Random(scen.seed)),
+                [scen.traffic_class()], pairs=scen.build_pairs(net),
+                seed=scen.seed, policy=make_policy(scen.policy, scen.k),
+                setup_latency=scen.setup_latency,
+                reservation_ttl=scen.reservation_ttl,
+            )
+            engine.run(max_events=scen.events)
+        finally:
+            om.set_registry(previous)
+        arrivals = [r for r in engine.ledger if r.kind == "arrival"]
+        departures = [r for r in engine.ledger if r.kind == "departure"]
+        outcomes = {outcome: sum(r.outcome == outcome for r in arrivals)
+                    for outcome in ("admitted", "blocked")}
+        retries = sum(r.attempts - 1 for r in arrivals)
+        assert all(r.attempts >= 1 for r in arrivals)
+        assert min(outcomes.values()) > 0 and retries > 0 and departures
+        assert registry.total("churn_arrivals_total") == len(arrivals)
+        for outcome, count in outcomes.items():
+            assert registry.value("churn_outcomes_total", cls="cbr",
+                                  outcome=outcome) == count
+        assert registry.total("churn_retries_total") == retries
+        assert registry.total("churn_departures_total") == len(departures)
 
 
 class TestEquivalence:
