@@ -69,11 +69,6 @@ Number = Union[int, float, Fraction]
 __all__ = ["BitStream", "Number", "aggregate", "ZERO_STREAM"]
 
 
-def _is_exact(value: Number) -> bool:
-    """True when ``value`` participates in exact (int/Fraction) arithmetic."""
-    return isinstance(value, (int, Fraction))
-
-
 class BitStream:
     """An immutable step-wise bit stream ``S = {(r(k), t(k))}``.
 

@@ -215,8 +215,8 @@ def _fast_kernels(stream: BitStream, higher: Optional[BitStream]):
     return stream_kernel, higher_kernel
 
 
-def delay_bound(stream: BitStream, higher: Optional[BitStream] = None,
-                *, service: Optional[ServiceCurve] = None) -> Number:
+def delay_bound(stream: BitStream,
+                higher: Optional[BitStream] = None) -> Number:
     """Algorithm 4.1: the worst-case queueing delay bound for ``stream``.
 
     Parameters
@@ -230,19 +230,12 @@ def delay_bound(stream: BitStream, higher: Optional[BitStream] = None,
         ``None`` when ``p`` is the highest priority level.  For the
         highest priority the bound degenerates to the maximum backlog of
         Figure 7, as the paper notes.
-    service:
-        Optional pre-built :class:`ServiceCurve` for ``S1``; supplying
-        one (as :class:`~repro.core.switch_cac.SwitchCAC` does from its
-        per-port memo) skips rebuilding the cumulative-service prefix
-        sums on every check.  Overrides ``higher`` when given.
 
     Returns
     -------
     The maximum of ``D(t)`` over all arrival instants, in cell times;
     ``math.inf`` when the system is unstable.
     """
-    if service is not None:
-        higher = service.higher
     if stream.is_zero:
         return 0
     if not is_stable(stream, higher):
@@ -252,8 +245,7 @@ def delay_bound(stream: BitStream, higher: Optional[BitStream] = None,
         _note_path("delay_bound", fast is not None)
     if fast is not None:
         return _kernels.delay_bound_fast(*fast)
-    if service is None:
-        service = ServiceCurve(higher)
+    service = ServiceCurve(higher)
 
     candidates: set[Number] = set(stream.times)
     for _, served in service.breakpoints():
@@ -278,20 +270,15 @@ def delay_bound(stream: BitStream, higher: Optional[BitStream] = None,
 
 
 def backlog_bound_with_higher(stream: BitStream,
-                              higher: Optional[BitStream] = None,
-                              *, service: Optional[ServiceCurve] = None
-                              ) -> Number:
+                              higher: Optional[BitStream] = None) -> Number:
     """Worst-case priority-``p`` queue occupancy, in cells.
 
     The backlog at time ``u`` is ``A(u) - C(u)`` whenever positive (all
     leftover service is consumed while a backlog exists).  The maximum
     over ``u`` sizes the FIFO buffer needed to guarantee zero loss --
     what Section 5 uses to pick RTnet's 32-cell queues.  Returns
-    ``math.inf`` when unstable.  ``service`` works as in
-    :func:`delay_bound`.
+    ``math.inf`` when unstable.
     """
-    if service is not None:
-        higher = service.higher
     if stream.is_zero:
         return 0
     if not is_stable(stream, higher):
@@ -301,8 +288,7 @@ def backlog_bound_with_higher(stream: BitStream,
         _note_path("backlog_bound", fast is not None)
     if fast is not None:
         return _kernels.backlog_bound_fast(*fast)
-    if service is None:
-        service = ServiceCurve(higher)
+    service = ServiceCurve(higher)
     points = sorted(set(stream.times) | set(service.higher.times))
     best: Number = 0
     for point in points:

@@ -18,7 +18,8 @@ one ``+``/``-`` delta per admit/release.  An add is built by the
 instance's what-if, which the admission check calls first; the
 instance keeps its last what-if, so the reserve that follows installs
 the check's streams as they are.  On top the port keeps only the
-memoized :class:`~repro.core.delay_bound.ServiceCurve` of ``Sof(j)(p)``.
+memoized ``Sof(j)(p)``, the filtered interference Algorithm 4.1 reads
+beside the port's own ``Soa(j, p)``.
 
 The per-input step -- ``Sia +/- S`` and its filter -- goes through a
 step memo keyed on the exact operands (their
@@ -33,7 +34,7 @@ The object is *pure domain state*: no journaling, no two-phase
 bookkeeping, no metrics registry -- those belong to
 :class:`~repro.core.switch_cac.SwitchCAC` -- and it never reads another
 port.  Its one outward hook is ``on_cache``, an optional ``(hit,
-cache_name)`` callback the owner uses to count ServiceCurve memo hits
+cache_name)`` callback the owner uses to count ``Sof`` memo hits
 without this layer importing the observability stack.
 
 Both patched sums start at the zero stream when the port is created or
@@ -207,7 +208,7 @@ class PortState:
     """
 
     __slots__ = ("out_link", "priority", "advertised_bound", "on_cache",
-                 "own", "higher", "_service")
+                 "own", "higher", "_sof")
 
     def __init__(self, out_link: str, priority: int,
                  advertised_bound: Number,
@@ -223,8 +224,8 @@ class PortState:
         self.own = _Aggregate(filter_per_input, steps)
         #: every priority above p on the same out link.
         self.higher = _Aggregate(filter_per_input, steps)
-        #: memoized ServiceCurve of Sof(j)(p).
-        self._service: Optional[ServiceCurve] = None
+        #: memoized Sof(j)(p).
+        self._sof: Optional[BitStream] = None
 
     @property
     def filter_per_input(self) -> bool:
@@ -251,18 +252,22 @@ class PortState:
         return self.own.total
 
     def sof_higher(self) -> BitStream:
-        """``Sof(j)(p)``: filtered higher-priority output interference."""
-        return self.higher.total.filtered()
+        """``Sof(j)(p)``: filtered higher-priority output interference.
 
-    def service(self) -> ServiceCurve:
-        """Memoized :class:`ServiceCurve` of ``Sof(j)(p)``."""
-        cached = self._service
+        Memoized until the interference changes (:meth:`apply_higher`,
+        :meth:`clear`).
+        """
+        cached = self._sof
         if cached is None:
             self.on_cache(False, "service")
-            cached = self._service = ServiceCurve(self.sof_higher())
+            cached = self._sof = self.higher.total.filtered()
         else:
             self.on_cache(True, "service")
         return cached
+
+    def service(self) -> ServiceCurve:
+        """The service ``Sof(j)(p)`` leaves to priority ``p`` (per call)."""
+        return ServiceCurve(self.sof_higher())
 
     def apply_same(self, in_link: str, stream: BitStream, add: bool) -> None:
         """Patch the ``own`` instance for one admit/release delta."""
@@ -274,17 +279,17 @@ class PortState:
 
         Invoked on every *lower*-priority port of the link when a
         stream is admitted/released above it; the interference changed,
-        so the memoized ServiceCurve is dropped.
+        so the memoized ``Sof(j)(p)`` is dropped.
         """
         self.higher.apply(in_link, stream, add)
-        self._service = None
+        self._sof = None
 
     def clear(self) -> None:
-        """Drop both aggregates and the ServiceCurve memo (crash, replay)."""
+        """Drop both aggregates and the ``Sof`` memo (crash, replay)."""
         filter_per_input, steps = self.filter_per_input, self.own.steps
         self.own = _Aggregate(filter_per_input, steps)
         self.higher = _Aggregate(filter_per_input, steps)
-        self._service = None
+        self._sof = None
 
     def verify_against(self, fresh: Mapping[Tuple[str, str, int], BitStream],
                        tolerance: float = 1e-9) -> bool:

@@ -36,8 +36,8 @@ metrics -- and holds the switch's bookkeeping: its ports, the committed
 and pending leg maps, each reservation's :class:`CheckResult` and the
 in-link rate ledger.  Every ``(out_link, priority)`` port is a pure
 :class:`~repro.core.port_state.PortState` holding its own-priority and
-higher-priority aggregates and a memoized
-:class:`~repro.core.delay_bound.ServiceCurve`.  What each journal op
+higher-priority aggregates and the memoized filtered interference
+``Sof(j)(p)``.  What each journal op
 (``reserve``, ``admit``, ``commit``, ``abort``, ``release``) does to the
 legs and aggregates is written once, in ``_transition``: live
 operations journal an op and run it, and :meth:`recover` replays the
@@ -73,7 +73,8 @@ from .port_state import PortState, StepMemo
 
 __all__ = ["SwitchCAC", "Leg", "CheckResult", "PriorityBoundViolation"]
 
-#: Memos whose hit/miss behaviour is observable.
+#: Memos whose hit/miss behaviour is observable: ``service`` is each
+#: port's ``Sof(j)(p)`` memo (the label predates it).
 _CACHES = ("service",)
 
 
@@ -250,7 +251,7 @@ class SwitchCAC:
         return obs
 
     def _count_cache(self, hit: bool, cache: str) -> None:
-        """Record one ServiceCurve memo hit or rebuild."""
+        """Record one ``Sof`` memo hit or rebuild."""
         obs = self._rebind()
         if obs.enabled:
             (obs.cache_hits if hit else obs.cache_misses)[cache].inc()
@@ -394,8 +395,8 @@ class SwitchCAC:
         bit-identical replay.  An add right after a check installs the
         what-if streams each aggregate kept from it; replay, which runs
         no check, computes them and reaches the same floats.  Only the
-        final output filter and the ServiceCurve of affected lower
-        priorities are recomputed, on the next check that needs them.
+        final output filter of affected lower priorities, ``Sof(j)(p)``,
+        is recomputed, on the next check that needs it.
         """
         obs = self._rebind()
         if obs.enabled:
@@ -506,7 +507,7 @@ class SwitchCAC:
 
         # Step 2-4: the new connection's own priority.
         own = port.own.added(in_link, stream)
-        bound = delay_bound(own[2], service=port.service())
+        bound = delay_bound(own[2], port.sof_higher())
         computed[priority] = bound
         if bound > port.advertised_bound:
             violations.append(PriorityBoundViolation(
@@ -756,7 +757,7 @@ class SwitchCAC:
         soa = port.soa()
         if soa.is_zero:
             return 0
-        return delay_bound(soa, service=port.service())
+        return delay_bound(soa, port.sof_higher())
 
     def buffer_requirement(self, out_link: str, priority: int) -> Number:
         """Worst-case FIFO occupancy (cells) of the admitted traffic.
@@ -769,7 +770,7 @@ class SwitchCAC:
         soa = port.soa()
         if soa.is_zero:
             return 0
-        return backlog_bound_with_higher(soa, service=port.service())
+        return backlog_bound_with_higher(soa, port.sof_higher())
 
     def in_link_utilization(self, in_link: str) -> Number:
         """Long-run admitted rate entering via one incoming link.

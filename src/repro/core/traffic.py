@@ -31,14 +31,6 @@ from typing import List, Tuple
 from ..exceptions import TrafficModelError
 from .bitstream import BitStream, Number
 
-try:  # NumPy is optional; long cell schedules use it when present.
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised only without numpy
-    _np = None
-
-#: Below this cell count the scalar loop beats NumPy array overhead.
-_VECTOR_MIN_CELLS = 16
-
 __all__ = [
     "VBRParameters",
     "cbr",
@@ -177,29 +169,13 @@ def worst_case_cell_times(params: VBRParameters, count: int) -> List[float]:
     """
     if count < 0:
         raise ValueError(f"count must be non-negative, got {count}")
+    mbs = params.mbs
     pcr_gap = 1 / params.pcr
     scr_gap = 1 / params.scr
-    if (_np is not None and count >= _VECTOR_MIN_CELLS
-            and type(params.mbs) is int
-            and isinstance(pcr_gap, float) and isinstance(scr_gap, float)):
-        # NumPy fast path: same expressions evaluated per element in
-        # float64, so the schedule is bit-identical to the scalar loop.
-        index = _np.arange(count, dtype=_np.float64)
-        burst_end = (params.mbs - 1) * pcr_gap
-        vectorized = _np.where(
-            index < params.mbs,
-            index * pcr_gap,
-            burst_end + (index - params.mbs + 1) * scr_gap,
-        )
-        return vectorized.tolist()
-    times: List[float] = []
-    for index in range(count):
-        if index < params.mbs:
-            times.append(index * pcr_gap)
-        else:
-            burst_end = (params.mbs - 1) * pcr_gap
-            times.append(burst_end + (index - params.mbs + 1) * scr_gap)
-    return times
+    burst_end = (mbs - 1) * pcr_gap
+    return [index * pcr_gap if index < mbs
+            else burst_end + (index - mbs + 1) * scr_gap
+            for index in range(count)]
 
 
 def check_conformance(cell_times: List[float],

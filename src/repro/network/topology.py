@@ -178,9 +178,6 @@ class Network:
         except KeyError:
             raise TopologyError(f"unknown link {name!r}") from None
 
-    def has_node(self, name: str) -> bool:
-        return name in self._nodes
-
     def nodes(self, kind: Optional[str] = None) -> Iterator[Node]:
         """All nodes, optionally restricted to one kind."""
         for node in self._nodes.values():

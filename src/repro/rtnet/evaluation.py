@@ -319,22 +319,6 @@ class DelayCurvePoint:
     admissible: bool
 
 
-def _symmetric_point(load: float, terminals_per_node: int,
-                     ring_nodes: int, node_bound: Number,
-                     cdv_policy: Union[str, CdvPolicy]) -> DelayCurvePoint:
-    """One Figure 10 point."""
-    workload = symmetric_workload(load, ring_nodes, terminals_per_node)
-    analysis = RingAnalysis(workload, ring_nodes, node_bound, cdv_policy)
-    worst_link = analysis.worst_link_bound(CYCLIC_PRIORITY)
-    admissible = worst_link <= node_bound
-    delay = analysis.worst_e2e_bound(CYCLIC_PRIORITY)
-    return DelayCurvePoint(
-        load=float(load),
-        delay_bound=float(delay),
-        admissible=bool(admissible),
-    )
-
-
 def symmetric_delay_curve(loads: Sequence[float],
                           terminals_per_node: int,
                           ring_nodes: int = RING_NODES,
@@ -349,9 +333,17 @@ def symmetric_delay_curve(loads: Sequence[float],
     advertised node bound (the CAC would refuse the set) -- the curve
     the paper plots ends there.
     """
-    return [_symmetric_point(load, terminals_per_node, ring_nodes,
-                             node_bound, cdv_policy)
-            for load in loads]
+    points = []
+    for load in loads:
+        workload = symmetric_workload(load, ring_nodes, terminals_per_node)
+        analysis = RingAnalysis(workload, ring_nodes, node_bound, cdv_policy)
+        worst_link = analysis.worst_link_bound(CYCLIC_PRIORITY)
+        points.append(DelayCurvePoint(
+            load=float(load),
+            delay_bound=float(analysis.worst_e2e_bound(CYCLIC_PRIORITY)),
+            admissible=bool(worst_link <= node_bound),
+        ))
+    return points
 
 
 def _asymmetric_feasible(load: float, hot_fraction: float,
@@ -384,21 +376,6 @@ class CapacityCurvePoint:
     max_load: float
 
 
-def _asymmetric_capacity_point(fraction: float, terminals_per_node: int,
-                               ring_nodes: int, node_bound: Number,
-                               cdv_policy: Union[str, CdvPolicy],
-                               e2e_requirement: Number,
-                               tolerance: float) -> CapacityCurvePoint:
-    """One Figure 11 bisection."""
-    best = max_feasible_load(
-        lambda load: _asymmetric_feasible(
-            load, fraction, ring_nodes, terminals_per_node,
-            node_bound, cdv_policy, e2e_requirement),
-        tolerance=tolerance,
-    )
-    return CapacityCurvePoint(float(fraction), best)
-
-
 def asymmetric_capacity_curve(hot_fractions: Sequence[float],
                               terminals_per_node: int,
                               ring_nodes: int = RING_NODES,
@@ -416,9 +393,16 @@ def asymmetric_capacity_curve(hot_fractions: Sequence[float],
     """
     if e2e_requirement is None:
         e2e_requirement = HIGH_SPEED_DELAY_CELLS
-    return [_asymmetric_capacity_point(fraction, terminals_per_node,
-                                       ring_nodes, node_bound, cdv_policy,
-                                       e2e_requirement, tolerance)
+
+    def max_load(fraction: float) -> float:
+        return max_feasible_load(
+            lambda load: _asymmetric_feasible(
+                load, fraction, ring_nodes, terminals_per_node,
+                node_bound, cdv_policy, e2e_requirement),
+            tolerance=tolerance,
+        )
+
+    return [CapacityCurvePoint(float(fraction), max_load(fraction))
             for fraction in hot_fractions]
 
 
@@ -452,39 +436,31 @@ def priority_capacity_curve(hot_fractions: Sequence[float],
         low_queue_bound = node_bound * max(4, terminals_per_node)
     if low_e2e_requirement is None:
         low_e2e_requirement = e2e_requirement * 30   # the 30 ms class
-    return [_priority_point(fraction, terminals_per_node, ring_nodes,
-                            node_bound, low_queue_bound,
-                            low_e2e_requirement, e2e_requirement, tolerance)
-            for fraction in hot_fractions]
 
+    def row(fraction: float) -> Tuple[float, float, float]:
+        single = max_feasible_load(
+            lambda load: _asymmetric_feasible(
+                load, fraction, ring_nodes, terminals_per_node,
+                node_bound, "hard", e2e_requirement),
+            tolerance=tolerance,
+        )
+        demoted = max_feasible_load(
+            lambda load: _asymmetric_feasible(
+                load, fraction, ring_nodes, terminals_per_node,
+                {CYCLIC_PRIORITY: node_bound, 1: low_queue_bound},
+                "hard", e2e_requirement,
+                hot_priority=1, other_priority=CYCLIC_PRIORITY,
+                e2e_requirements={CYCLIC_PRIORITY: e2e_requirement,
+                                  1: low_e2e_requirement}),
+            tolerance=tolerance,
+        )
+        # Two priority levels never force the demoted assignment: when
+        # demotion would hurt (small networks where the hot stream's own
+        # clumping dominates), the operator keeps everything at one
+        # level, so the supported capacity is the better of the two.
+        return (float(fraction), single, max(single, demoted))
 
-def _priority_point(fraction: float, terminals_per_node: int,
-                    ring_nodes: int, node_bound: Number,
-                    low_queue_bound: Number, low_e2e_requirement: Number,
-                    e2e_requirement: Number,
-                    tolerance: float) -> Tuple[float, float, float]:
-    """One Figure 12 row (two bisections)."""
-    single = max_feasible_load(
-        lambda load: _asymmetric_feasible(
-            load, fraction, ring_nodes, terminals_per_node,
-            node_bound, "hard", e2e_requirement),
-        tolerance=tolerance,
-    )
-    demoted = max_feasible_load(
-        lambda load: _asymmetric_feasible(
-            load, fraction, ring_nodes, terminals_per_node,
-            {CYCLIC_PRIORITY: node_bound, 1: low_queue_bound},
-            "hard", e2e_requirement,
-            hot_priority=1, other_priority=CYCLIC_PRIORITY,
-            e2e_requirements={CYCLIC_PRIORITY: e2e_requirement,
-                              1: low_e2e_requirement}),
-        tolerance=tolerance,
-    )
-    # Two priority levels never force the demoted assignment: when
-    # demotion would hurt (small networks where the hot stream's own
-    # clumping dominates), the operator keeps everything at one
-    # level, so the supported capacity is the better of the two.
-    return (float(fraction), single, max(single, demoted))
+    return [row(fraction) for fraction in hot_fractions]
 
 
 def vbr_workload(total_load: float, mbs_per_node: int,
@@ -508,19 +484,6 @@ def vbr_workload(total_load: float, mbs_per_node: int,
             for node in range(ring_nodes)}
 
 
-def _vbr_point(mbs: int, ring_nodes: int, node_bound: Number,
-               e2e_requirement: Number,
-               tolerance: float) -> Tuple[int, float]:
-    """One VBR-feasibility bisection."""
-    def feasible(load: float) -> bool:
-        analysis = RingAnalysis(vbr_workload(load, mbs, ring_nodes),
-                                ring_nodes, node_bound, "hard")
-        return analysis.feasible(
-            e2e_requirements={CYCLIC_PRIORITY: e2e_requirement})
-
-    return (mbs, max_feasible_load(feasible, tolerance=tolerance))
-
-
 def vbr_capacity_curve(mbs_values: Sequence[int],
                        ring_nodes: int = RING_NODES,
                        node_bound: Number = NODE_DELAY_BOUND,
@@ -538,29 +501,17 @@ def vbr_capacity_curve(mbs_values: Sequence[int],
     """
     if e2e_requirement is None:
         e2e_requirement = HIGH_SPEED_DELAY_CELLS
-    return [_vbr_point(mbs, ring_nodes, node_bound, e2e_requirement,
-                       tolerance)
-            for mbs in mbs_values]
 
+    def max_load(mbs: int) -> float:
+        def feasible(load: float) -> bool:
+            analysis = RingAnalysis(vbr_workload(load, mbs, ring_nodes),
+                                    ring_nodes, node_bound, "hard")
+            return analysis.feasible(
+                e2e_requirements={CYCLIC_PRIORITY: e2e_requirement})
 
-def _soft_hard_point(fraction: float, terminals_per_node: int,
-                     ring_nodes: int, node_bound: Number,
-                     e2e_requirement: Number,
-                     tolerance: float) -> Tuple[float, float, float]:
-    """One Figure 13 row (hard + soft bisections)."""
-    hard = max_feasible_load(
-        lambda load: _asymmetric_feasible(
-            load, fraction, ring_nodes, terminals_per_node,
-            node_bound, "hard", e2e_requirement),
-        tolerance=tolerance,
-    )
-    soft = max_feasible_load(
-        lambda load: _asymmetric_feasible(
-            load, fraction, ring_nodes, terminals_per_node,
-            node_bound, "soft", e2e_requirement),
-        tolerance=tolerance,
-    )
-    return (float(fraction), hard, soft)
+        return max_feasible_load(feasible, tolerance=tolerance)
+
+    return [(mbs, max_load(mbs)) for mbs in mbs_values]
 
 
 def soft_hard_capacity_curve(hot_fractions: Sequence[float],
@@ -577,6 +528,15 @@ def soft_hard_capacity_curve(hot_fractions: Sequence[float],
     """
     if e2e_requirement is None:
         e2e_requirement = HIGH_SPEED_DELAY_CELLS
-    return [_soft_hard_point(fraction, terminals_per_node, ring_nodes,
-                             node_bound, e2e_requirement, tolerance)
+
+    def max_load(fraction: float, cdv_policy: str) -> float:
+        return max_feasible_load(
+            lambda load: _asymmetric_feasible(
+                load, fraction, ring_nodes, terminals_per_node,
+                node_bound, cdv_policy, e2e_requirement),
+            tolerance=tolerance,
+        )
+
+    return [(float(fraction), max_load(fraction, "hard"),
+             max_load(fraction, "soft"))
             for fraction in hot_fractions]

@@ -31,10 +31,10 @@ import math
 import random
 from dataclasses import dataclass, replace
 from functools import partial
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..core.admission import NetworkCAC
-from ..core.plane import AdmissionPlane, SetupOutcome
+from ..core.plane import AdmissionPlane
 from ..core.traffic import VBRParameters, cbr
 from ..exceptions import AdmissionError, TrafficModelError
 from ..network.connection import ConnectionRequest
@@ -149,11 +149,13 @@ class ChurnEngine:
         -- so concurrent in-flight setups
         contend for ports, phase-1 reservations are held under the TTL,
         and blocking genuinely differs from the instantaneous model.
-        Both unset (the default) keeps the legacy synchronous path,
-        bit-identical to previous releases.  In plane mode
+        Both unset (the default) runs each walk synchronously through
+        :meth:`NetworkCAC.setup` / :meth:`NetworkCAC.teardown`.  The
+        two transports share one crankback chain: the candidate routes
+        are materialized at the arrival instant and tried in order, and
+        only submitting a setup and a teardown differ.  In plane mode
         :meth:`run` settles still-in-flight walks after the event
-        budget is spent, and crankback route candidates are
-        materialized at the arrival instant.
+        budget is spent.
 
     Examples
     --------
@@ -272,10 +274,9 @@ class ChurnEngine:
             if upcoming is None or upcoming > until:
                 break
             self.engine.run(until=upcoming)
-        if self._plane is not None:
-            # Let every walk already in flight run to completion:
-            # budget-exceeded churn events that fire meanwhile no-op.
-            self._settle()
+        # Let every walk already in flight run to completion:
+        # budget-exceeded churn events that fire meanwhile no-op.
+        self._settle()
         return self._events_fired - started
 
     def _settle(self) -> None:
@@ -288,20 +289,11 @@ class ChurnEngine:
 
     def drain(self) -> None:
         """Tear down every still-active connection (end-of-run cleanup)."""
-        if self._plane is not None:
-            for name, (_cls, handle) in sorted(self._active.items()):
-                handle.cancel()
-                self._plane.submit_teardown(name)
-            self._active.clear()
-            self._settle()
-            return
         for name, (_cls, handle) in sorted(self._active.items()):
             handle.cancel()
-            try:
-                self.cac.teardown(name)
-            except AdmissionError:
-                pass
+            self._teardown(name, lambda released: None)
         self._active.clear()
+        self._settle()
 
     def report(self, warmup: Optional[float] = None,
                batches: int = 10) -> ChurnReport:
@@ -351,45 +343,20 @@ class ChurnEngine:
         )
         name = f"c{self._sequence:06d}"
         self._sequence += 1
-        if self._plane is not None:
-            routes = list(self.policy.routes(self.cac, self.network,
-                                             src, dst))
-            self._launch_attempt(name, cls, routes, 0, holding)
-            return
-        attempts = 0
-        admitted: Tuple[str, ...] = ()
-        for route in self.policy.routes(self.cac, self.network, src, dst):
-            attempts += 1
-            request = ConnectionRequest(
-                name, cls.traffic, route, priority=cls.priority,
-                delay_bound=cls.delay_bound,
-            )
-            try:
-                self.cac.setup(request)
-            except AdmissionError:
-                continue
-            admitted = route.link_names
-            break
-        if admitted:
-            handle = self.engine.schedule_in(
-                holding, partial(self._departure, name, cls.name))
-            self._active[name] = (cls.name, handle)
-            self._record("arrival", name, cls.name, "admitted",
-                         attempts, admitted)
-            self._count_outcome(cls.name, "admitted", attempts)
-        else:
-            self._record("arrival", name, cls.name, "blocked", attempts)
-            self._count_outcome(cls.name, "blocked", attempts)
+        routes = list(self.policy.routes(self.cac, self.network, src, dst))
+        self._attempt(name, cls, routes, 0, holding)
 
-    def _launch_attempt(self, name: str, cls: TrafficClass,
-                        routes: Sequence, index: int,
-                        holding: float) -> None:
-        """Launch candidate route ``index`` of one arrival as a walk.
+    def _attempt(self, name: str, cls: TrafficClass,
+                 routes: Sequence, index: int,
+                 holding: float) -> None:
+        """Set up one arrival on candidate route ``index``.
 
-        Crankback, asynchronously: an :class:`AdmissionError` outcome
-        launches the next candidate; success starts the holding time at
-        the *commit* instant (setup latency delays the connection, and
-        therefore every downstream departure).
+        Crankback: a refusal (an :class:`AdmissionError`) tries the next
+        candidate; success starts the holding time at the *commit*
+        instant (setup latency delays the connection, and therefore
+        every downstream departure).  Both transports run this chain:
+        ``done`` runs right after a synchronous :meth:`NetworkCAC.setup`
+        returns, or when an admission-plane walk finishes.
         """
         if index >= len(routes):
             self._record("arrival", name, cls.name, "blocked", len(routes))
@@ -401,20 +368,22 @@ class ChurnEngine:
             delay_bound=cls.delay_bound,
         )
 
-        def done(outcome: SetupOutcome) -> None:
-            if outcome.admitted:
-                handle = self.engine.schedule_in(
-                    holding, partial(self._departure, name, cls.name))
-                self._active[name] = (cls.name, handle)
-                self._record("arrival", name, cls.name, "admitted",
-                             index + 1, route.link_names)
-                self._count_outcome(cls.name, "admitted", index + 1)
-            elif isinstance(outcome.error, AdmissionError):
-                self._launch_attempt(name, cls, routes, index + 1, holding)
-            else:
-                raise outcome.error  # a bug, not an admission verdict
+        def done(admitted: bool) -> None:
+            if not admitted:
+                self._attempt(name, cls, routes, index + 1, holding)
+                return
+            handle = self.engine.schedule_in(
+                holding, partial(self._departure, name, cls.name))
+            self._active[name] = (cls.name, handle)
+            self._record("arrival", name, cls.name, "admitted",
+                         index + 1, route.link_names)
+            self._count_outcome(cls.name, "admitted", index + 1)
 
-        self._plane.submit(request, on_done=done)
+        if self._plane is not None:
+            self._plane.submit(
+                request, on_done=lambda outcome: done(_verdict(outcome.error)))
+        else:
+            done(_succeeded(self.cac.setup, request))
 
     def _count_outcome(self, cls_name: str, outcome: str,
                        attempts: int) -> None:
@@ -432,36 +401,51 @@ class ChurnEngine:
         if self._events_fired >= self._budget:
             return
         self._events_fired += 1
-        entry = self._active.pop(name, None)
-        if entry is None:
-            self._finish_departure(name, cls_name, "absent")
+        if self._active.pop(name, None) is None:
+            self._finish_departure(name, cls_name, False)
             return
-        if self._plane is not None:
-            def done(process) -> None:
-                if process.error is not None and \
-                        not isinstance(process.error, AdmissionError):
-                    raise process.error
-                self._finish_departure(
-                    name, cls_name,
-                    "absent" if process.error is not None else "departed")
+        self._teardown(name, partial(self._finish_departure, name, cls_name))
 
-            self._plane.submit_teardown(name, on_done=done)
-            return
-        try:
-            self.cac.teardown(name)
-        except AdmissionError:
-            outcome = "absent"
+    def _teardown(self, name: str, done: Callable[[bool], None]) -> None:
+        """Release ``name``; ``done(released)`` runs once the walk ends."""
+        if self._plane is not None:
+            self._plane.submit_teardown(
+                name, on_done=lambda process: done(_verdict(process.error)))
         else:
-            outcome = "departed"
-        self._finish_departure(name, cls_name, outcome)
+            done(_succeeded(self.cac.teardown, name))
 
     def _finish_departure(self, name: str, cls_name: str,
-                          outcome: str) -> None:
+                          released: bool) -> None:
+        outcome = "departed" if released else "absent"
         self._record("departure", name, cls_name, outcome)
         registry = _om.get_registry()
         if registry.enabled:
             registry.counter("churn_departures_total", cls=cls_name,
                              outcome=outcome).inc()
+
+
+def _succeeded(walk: Callable[..., object], *args: object) -> bool:
+    """Run one synchronous walk; ``False`` if it raised a refusal.
+
+    Only the bool leaves the handler: a caught error kept in a local
+    would tie error -> traceback -> frame -> error into a cycle.
+    """
+    try:
+        walk(*args)
+    except AdmissionError:
+        return False
+    return True
+
+
+def _verdict(error: Optional[BaseException]) -> bool:
+    """Whether a finished plane walk succeeded; ``False`` for a refusal.
+
+    Any error but an :class:`AdmissionError` is a bug, not an admission
+    verdict, and is raised.
+    """
+    if error is not None and not isinstance(error, AdmissionError):
+        raise error
+    return error is None
 
 
 # ----------------------------------------------------------------------

@@ -57,8 +57,9 @@ def _vbr_class(name, traffic, priority, load):
                         mean_holding=400.0, priority=priority)
 
 
-def build_engine(workload):
-    """The seed-11 churn engine of ``workload`` (as the benchmark builds it)."""
+def build_engine(workload, seed=SEED, **transport):
+    """The churn engine of ``workload``, as the benchmark builds it;
+    ``transport`` takes ``ChurnEngine``'s setup-latency options."""
     if workload == "vbr-2prio":
         network = build_rtnet(6, 2, bounds={0: 32.0, 1: 96.0},
                               dual_ring=True)
@@ -73,9 +74,9 @@ def build_engine(workload):
         network = CBR.build_network()
         classes = [CBR.traffic_class()]
         pairs = CBR.build_pairs(network)
-    cac = NetworkCAC(network, rng=random.Random(SEED))
-    return ChurnEngine(cac, classes, pairs=pairs, seed=SEED,
-                       policy=make_policy("k-alternate", 2))
+    cac = NetworkCAC(network, rng=random.Random(seed))
+    return ChurnEngine(cac, classes, pairs=pairs, seed=seed,
+                       policy=make_policy("k-alternate", 2), **transport)
 
 
 class ExactShadow:

@@ -14,6 +14,8 @@ from repro.core import SwitchCAC
 from repro.core.port_state import PortState
 from repro.core.traffic import cbr
 from repro.exceptions import AdmissionError
+from repro.obs import metrics as om
+from repro.obs.metrics import MetricsRegistry
 
 
 def stream(rate):
@@ -71,6 +73,28 @@ class TestPortState:
         assert streams_equal(total.filtered(), admitted.sof_higher())
         assert streams_equal(sia, admitted.higher.sia["in-a"])
         assert streams_equal(sif, admitted.higher.sif["in-a"])
+
+    def test_sof_memo_lives_until_the_interference_changes(self):
+        seen = []
+        port = PortState("out", 1, 64, on_cache=lambda hit, cache:
+                         seen.append((hit, cache)))
+        port.apply_higher("in-a", stream(F(1, 6)), add=True)
+        port.apply_same("in-b", stream(F(1, 8)), add=True)
+        sof = port.sof_higher()
+        assert streams_equal(sof, port.higher.total.filtered())
+        assert port.sof_higher() is sof
+        port.apply_same("in-a", stream(F(1, 9)), add=True)  # own traffic
+        assert port.sof_higher() is sof
+        assert streams_equal(port.service().higher, sof)
+        port.apply_higher("in-b", stream(F(1, 10)), add=True)
+        changed = port.sof_higher()
+        assert changed is not sof
+        assert streams_equal(changed, port.higher.total.filtered())
+        port.clear()
+        assert port.sof_higher().is_zero
+        assert seen == [(False, "service"), (True, "service"),
+                        (True, "service"), (True, "service"),
+                        (False, "service"), (False, "service")]
 
     def test_verify_against_accepts_truth_and_rejects_drift(self):
         port = self.make_port()
@@ -134,6 +158,51 @@ def test_drive_crash_and_recover_restore_the_committed_state():
         assert streams_equal(after[key], value)
     for (link, priority), soa in soas.items():
         assert streams_equal(switch.soa(link, priority), soa)
+
+
+def test_a_delta_drops_the_sof_memo_of_lower_ports_on_its_link_only():
+    switch = SwitchCAC("sw")
+    for link in ("out-a", "out-b"):
+        switch.configure_link(link, {0: 32, 1: 64, 2: 96})
+        for priority in (0, 1, 2):
+            switch.admit(f"{link}-{priority}", "in-x", link, priority,
+                         stream(F(1, 20)))
+
+    def memos():
+        return {(link, p): switch.port(link, p).sof_higher()
+                for link in ("out-a", "out-b") for p in (0, 1, 2)}
+
+    before = memos()
+    switch.admit("vc", "in-y", "out-a", 1, stream(F(1, 30)))
+    after = memos()
+    assert [key for key in before if after[key] is not before[key]] == [
+        ("out-a", 2)]
+    assert streams_equal(
+        after["out-a", 2],
+        switch.port("out-a", 2).higher.total.filtered())
+    switch.crash()  # drops every memo; priority 0 has no interference
+    switch.recover()
+    assert all(memo is not after[key] for key, memo in memos().items()
+               if key[1] > 0)
+
+
+def test_cache_counters_count_sof_memo_hits_and_rebuilds():
+    registry = MetricsRegistry()
+    previous = om.set_registry(registry)
+    try:
+        switch = SwitchCAC("sw")
+        switch.configure_link("out", {0: 32, 1: 96})
+        switch.admit("hi", "in-a", "out", 0, stream(F(1, 10)))   # miss
+        switch.admit("lo", "in-b", "out", 1, stream(F(1, 12)))   # miss
+        switch.check("in-b", "out", 1, stream(F(1, 14)))         # hit
+        switch.computed_bound("out", 1)                          # hit
+        switch.release("hi")                                     # drops it
+        switch.buffer_requirement("out", 1)                      # miss
+    finally:
+        om.set_registry(previous)
+    counts = [registry.value(name, switch="sw", cache="service")
+              for name in ("cac_cache_hits_total", "cac_cache_misses_total")]
+    assert counts == [2, 3]
 
 
 def test_verify_consistency_audits_idle_in_link_entries():

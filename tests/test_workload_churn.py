@@ -5,6 +5,7 @@ environment variable (the CI churn-property job sets 2000; the local
 default keeps the tier-1 suite fast).
 """
 
+import gc
 import os
 import random
 
@@ -22,11 +23,15 @@ from repro.workload import (
     ChurnScenario,
     TrafficClass,
     blocking_curve,
+    ledger_digest,
     make_policy,
     opposite_pairs,
     run_scenario,
     star_pairs,
 )
+from repro.workload.stats import journal_digest_of
+
+from .test_exact_shadow import build_engine
 
 CHURN_EVENTS = int(os.environ.get("CHURN_EVENTS", "400"))
 
@@ -262,6 +267,45 @@ class TestCounters:
                                   outcome=outcome) == count
         assert registry.total("churn_retries_total") == retries
         assert registry.total("churn_departures_total") == len(departures)
+
+
+class TestOneCrankbackChain:
+    """The synchronous and admission-plane transports share one chain:
+    crankback, outcome records and departures are written once."""
+
+    @pytest.mark.parametrize("seed", [11, 3])
+    @pytest.mark.parametrize("workload", ["churn-cbr", "vbr-2prio"])
+    def test_zero_latency_plane_makes_the_synchronous_run(self, workload,
+                                                          seed):
+        # A finite TTL selects the plane even at zero setup latency;
+        # walks that take no time must then decide as the synchronous
+        # calls do.
+        sync = build_engine(workload, seed)
+        plane = build_engine(workload, seed, setup_latency=0.0,
+                             reservation_ttl=40.0)
+        sync.run(max_events=2000)
+        plane.run(max_events=2000)
+        assert ledger_digest(plane.ledger) == ledger_digest(sync.ledger)
+        assert journal_digest_of(plane.cac) == journal_digest_of(sync.cac)
+        # The walks ran as engine processes, and crankback was taken.
+        assert (plane.engine.events_processed
+                > 2 * sync.engine.events_processed)
+        assert any(row.attempts > 1 for row in sync.ledger)
+
+    def test_refused_attempts_leave_no_cycle(self):
+        # About 40% of these arrivals are refused.  A refusal held past
+        # its ``except`` block would tie error -> traceback -> frame ->
+        # error into one cycle per refused attempt.
+        engine = build_engine("churn-cbr", 11)
+        gc.collect()
+        gc.disable()
+        try:
+            engine.run(max_events=500)
+            garbage = gc.collect()
+        finally:
+            gc.enable()
+        assert garbage == 0
+        assert any(row.outcome == "blocked" for row in engine.ledger)
 
 
 class TestEquivalence:
