@@ -339,8 +339,10 @@ class SignalingChannel:
                        connection: str, process: Callable[[], T]):
         """One delivery attempt as a step generator.
 
-        Yields every elapse of simulated time (transit, timeout);
-        raises :class:`_Lost` on silence; returns the response.
+        Yields every elapse of simulated time (transit, injected delay,
+        timeout) and no zero-length wait, so a clean exchange is
+        transit, process, transit; raises :class:`_Lost` on silence;
+        returns the response.
         """
         specs = (self.injector.intercept(phase, hop, connection)
                  if self.injector is not None else [])
@@ -380,7 +382,9 @@ class SignalingChannel:
             # Message transit down the link to the receiving switch.
             yield self.hop_latency
         late = delay > self.hop_timeout
-        yield min(delay, self.hop_timeout)
+        if delay > 0.0:
+            # An injected delay holds the message (up to the timeout).
+            yield min(delay, self.hop_timeout)
         try:
             result = process()
         except SwitchUnavailable as unavailable:

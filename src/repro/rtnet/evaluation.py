@@ -39,7 +39,6 @@ from ..exceptions import TrafficModelError
 from ..network.connection import ConnectionRequest, EstablishedConnection
 from .constants import (
     CYCLIC_PRIORITY,
-    CYCLIC_QUEUE_CELLS,
     HIGH_SPEED_DELAY_CELLS,
     NODE_DELAY_BOUND,
     RING_NODES,

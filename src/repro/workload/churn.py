@@ -29,9 +29,11 @@ from __future__ import annotations
 
 import math
 import random
+from collections import deque
 from dataclasses import dataclass, replace
 from functools import partial
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import (Callable, Deque, Dict, List, Mapping, Optional, Sequence,
+                    Tuple)
 
 from ..core.admission import NetworkCAC
 from ..core.plane import AdmissionPlane
@@ -155,7 +157,8 @@ class ChurnEngine:
         are materialized at the arrival instant and tried in order, and
         only submitting a setup and a teardown differ.  In plane mode
         :meth:`run` settles still-in-flight walks after the event
-        budget is spent.
+        budget is spent, holding the churn events that fall due
+        meanwhile for the next :meth:`run`.
 
     Examples
     --------
@@ -224,6 +227,9 @@ class ChurnEngine:
         self._budget = 0
         #: name -> (class name, departure handle) of live connections.
         self._active: Dict[str, Tuple[str, EventHandle]] = {}
+        #: Churn events that fell due while walks were settling, in the
+        #: order they fell due; the next :meth:`run` fires them first.
+        self._held: Deque[EventHandle] = deque()
         for cls in self.classes:
             if cls.arrival_rate > 0:
                 self.engine.schedule(
@@ -259,9 +265,16 @@ class ChurnEngine:
 
         ``max_events`` is a *hard* budget on arrivals + departures fired
         by this call: the event crossing the budget is the last one
-        processed, later events (even at the same instant) no-op, and
-        the heap is left intact so a subsequent :meth:`run` continues
-        the same trajectory.  Returns the events this call fired.
+        processed, and later events (even at the same instant) wait for
+        the next :meth:`run`.  Events at ``until`` fire.  Returns the
+        events this call fired.
+
+        A synchronous run leaves the engine exactly where the budget
+        ran out, so a subsequent :meth:`run` continues the same
+        trajectory.  In plane mode the walks still in flight are then
+        settled, and the churn events that fall due meanwhile are held:
+        the next :meth:`run` fires them first, in the order they fell
+        due, at its own starting instant.
         """
         if max_events < 0:
             raise TrafficModelError(
@@ -269,18 +282,25 @@ class ChurnEngine:
             )
         started = self._events_fired
         self._budget = started + max_events
+        held = self._held
+        while (held and self._events_fired < self._budget
+               and held[0].time <= until):
+            held.popleft().callback()
         while self._events_fired < self._budget:
             upcoming = self.engine.peek_next_time()
             if upcoming is None or upcoming > until:
                 break
             self.engine.run(until=upcoming)
-        # Let every walk already in flight run to completion:
-        # budget-exceeded churn events that fire meanwhile no-op.
         self._settle()
         return self._events_fired - started
 
     def _settle(self) -> None:
-        """Run the engine until no admission walk is in flight."""
+        """Run the engine until no admission walk is in flight.
+
+        Every churn event that falls due meanwhile is held for the next
+        :meth:`run`.
+        """
+        self._budget = self._events_fired
         while self._plane is not None and self._plane.in_flight:
             upcoming = self.engine.peek_next_time()
             if upcoming is None:
@@ -288,11 +308,15 @@ class ChurnEngine:
             self.engine.run(until=upcoming)
 
     def drain(self) -> None:
-        """Tear down every still-active connection (end-of-run cleanup)."""
+        """Tear down every still-active connection (end-of-run cleanup).
+
+        A held departure of a connection torn down here is dropped.
+        """
         for name, (_cls, handle) in sorted(self._active.items()):
             handle.cancel()
             self._teardown(name, lambda released: None)
         self._active.clear()
+        self._held = deque(held for held in self._held if not held.cancelled)
         self._settle()
 
     def report(self, warmup: Optional[float] = None,
@@ -327,6 +351,8 @@ class ChurnEngine:
 
     def _arrival(self, cls: TrafficClass) -> None:
         if self._events_fired >= self._budget:
+            self._held.append(EventHandle(self.engine.now,
+                                          partial(self._arrival, cls)))
             return
         self._events_fired += 1
         registry = _om.get_registry()
@@ -399,6 +425,8 @@ class ChurnEngine:
 
     def _departure(self, name: str, cls_name: str) -> None:
         if self._events_fired >= self._budget:
+            # The connection's own handle: :meth:`drain` cancels it.
+            self._held.append(self._active[name][1])
             return
         self._events_fired += 1
         if self._active.pop(name, None) is None:

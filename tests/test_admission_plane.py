@@ -324,6 +324,30 @@ class TestPlaneLifecycle:
         assert plane.in_flight == 0
         assert len(done) == 1
 
+    @pytest.mark.parametrize("reservation_ttl", [None, 100.0])
+    @pytest.mark.parametrize("switches", [1, 2, 3])
+    def test_an_accepted_walk_costs_one_event_per_transit(
+            self, switches, reservation_ttl):
+        net = line_network(switches, bounds={0: 64}, terminals_per_switch=2)
+        cac = NetworkCAC(net, hop_latency=1.5, rng=random.Random(0))
+        engine = Engine()
+        plane = AdmissionPlane(cac, engine, reservation_ttl=reservation_ttl)
+        route = shortest_path(net, "t0.0", f"t{switches - 1}.1")
+        done = []
+        plane.submit(ConnectionRequest("vc0", cbr(F(1, 10)), route),
+                     on_done=done.append)
+        engine.run()
+        (outcome,) = done
+        assert outcome.admitted
+        hops = len(route.hops())
+        assert hops == switches
+        # The deferred first step, then per hop one event per transit
+        # (down and back) of the reserve wave and of the commit wave:
+        # no zero-length wait is scheduled, and a TTL timer the walk
+        # cancels never fires.
+        assert engine.events_processed == 1 + 4 * hops
+        assert outcome.setup_time == 4 * hops * 1.5
+
     def test_repr_is_cheap_and_honest(self):
         cac, engine, plane, request = two_hop_setup(reservation_ttl=7.5)
         assert "ttl=7.5" in repr(plane)

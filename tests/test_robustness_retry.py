@@ -12,7 +12,8 @@ from repro.network.signaling import (RetryEvent, SignalingChannel,
                                      SignalingTrace, drain_steps)
 from repro.network.topology import star_network
 from repro.obs.clock import ManualClock
-from repro.robustness.faults import DROP, FaultInjector, FaultPlan, FaultSpec
+from repro.robustness.faults import (DELAY, DROP, FaultInjector, FaultPlan,
+                                     FaultSpec)
 from repro.robustness.retry import RetryPolicy
 
 HOP_TIMEOUT = 8.0
@@ -154,6 +155,63 @@ class TestRetryCall:
         assert all(event.backoff >= 0 for event in retries)
         assert all((event.connection, event.at_node, event.phase, event.hop)
                    == ("vc", "sw0", "reserve", 0) for event in retries)
+
+
+def waits_of(channel, process):
+    """Every wait one delivery yields, and its response."""
+    steps = channel.deliver_steps("reserve", 0, "sw0", "in", "vc", process)
+    waits = []
+    try:
+        while True:
+            waits.append(next(steps))
+    except StopIteration as stop:
+        return waits, stop.value
+
+
+def latent_channel(latency, faults=(), seed=0, trace=None):
+    return SignalingChannel(
+        injector=FaultInjector(FaultPlan(faults)), clock=ManualClock(),
+        rng=random.Random(seed), hop_timeout=HOP_TIMEOUT, trace=trace,
+        hop_latency=latency)
+
+
+class TestDeliveryWaits:
+    """A delivery yields only the waits that pass time."""
+
+    @pytest.mark.parametrize("latency", [0.5, 2.0])
+    def test_a_clean_delivery_is_transit_process_transit(self, latency):
+        receiver = Receiver()
+        assert waits_of(latent_channel(latency), receiver) == (
+            [latency, latency], "ok")
+        assert receiver.calls == 1
+
+    def test_a_clean_instantaneous_delivery_yields_nothing(self):
+        receiver = Receiver()
+        assert waits_of(latent_channel(0.0), receiver) == ([], "ok")
+        assert receiver.calls == 1
+
+    @pytest.mark.parametrize("latency", [0.0, 2.0])
+    @pytest.mark.parametrize("delay", [0.25, HOP_TIMEOUT])
+    def test_an_injected_delay_is_one_more_wait(self, latency, delay):
+        channel = latent_channel(
+            latency, [FaultSpec(DELAY, phase="reserve", hop=0, delay=delay)])
+        transit = [latency] if latency else []
+        assert waits_of(channel, Receiver()) == (
+            transit + [delay] + transit, "ok")
+
+    def test_a_delay_past_the_timeout_still_retransmits(self):
+        trace = SignalingTrace()
+        channel = latent_channel(
+            2.0, [FaultSpec(DELAY, phase="reserve", hop=0,
+                            delay=HOP_TIMEOUT + 1.0)], seed=3, trace=trace)
+        receiver = Receiver()
+        waits, response = waits_of(channel, receiver)
+        (retry,) = trace.of_type(RetryEvent)
+        # Processed late, retransmitted after a backoff, processed again.
+        assert waits == [2.0, HOP_TIMEOUT, retry.backoff, 2.0, 2.0]
+        assert retry.backoff == channel.retry_policy.backoff_delay(
+            0, random.Random(3))
+        assert response == "ok" and receiver.calls == 2
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf], ids=["nan", "inf"])

@@ -38,14 +38,22 @@ CHURN_EVENTS = int(os.environ.get("CHURN_EVENTS", "400"))
 RING = dict(topology="dual-ring", nodes=6, bound=48.0, rate=0.15)
 
 
-def small_engine(seed=7, policy=None, arrival_rate=0.01):
+#: The admission-plane transport: 2 time units per hop transit.
+PLANE = dict(setup_latency=2.0, reservation_ttl=40.0)
+
+
+def small_engine(seed=7, policy=None, arrival_rate=0.01, **latency):
     net = star_network(4, bounds={0: 32})
     cac = NetworkCAC(net, rng=random.Random(seed))
     engine = ChurnEngine(
         cac, [TrafficClass("cbr", cbr(0.1), arrival_rate, 200.0)],
-        pairs=star_pairs(net), seed=seed, policy=policy,
+        pairs=star_pairs(net), seed=seed, policy=policy, **latency,
     )
     return engine
+
+
+def rows(ledger):
+    return [tuple(vars(row).values()) for row in ledger]
 
 
 class TestChurnEngine:
@@ -63,6 +71,51 @@ class TestChurnEngine:
         split.run(max_events=37)
         assert [tuple(vars(r).values()) for r in split.ledger] == \
                [tuple(vars(r).values()) for r in whole.ledger]
+
+    def test_a_split_plane_run_keeps_its_arrival_process(self):
+        # Settling the first call's walks runs the engine past churn
+        # events; they are held for the second call, not dropped.
+        engine = small_engine(arrival_rate=0.5, **PLANE)
+        assert engine.run(max_events=23) == 23
+        assert set(engine.active) == set(engine.cac.established)
+        first = len(engine.ledger)
+        assert engine.run(max_events=37) == 37
+        assert set(engine.active) == set(engine.cac.established)
+        assert any(row.kind == "arrival" for row in engine.ledger[first:])
+        assert engine.run(max_events=40) == 40
+        assert set(engine.active) == set(engine.cac.established)
+
+    def test_drain_drops_the_held_departures_it_tears_down(self):
+        engine = small_engine(arrival_rate=0.5, **PLANE)
+        engine.run(max_events=12)   # settling holds three departures
+        drained = set(engine.active)
+        engine.drain()
+        assert engine.active == {} and engine.cac.established == {}
+        first = len(engine.ledger)
+        assert engine.run(max_events=30) == 30
+        assert not [row for row in engine.ledger[first:]
+                    if row.kind == "departure" and row.name in drained]
+        assert set(engine.active) == set(engine.cac.established)
+
+    def test_a_horizon_fires_the_events_at_it(self):
+        whole = small_engine(arrival_rate=0.5)
+        whole.run(max_events=40)
+        horizon, following = whole.ledger[19].time, whole.ledger[20].time
+        assert horizon < following
+        cut = small_engine(arrival_rate=0.5)
+        assert cut.run(max_events=1000, until=horizon) == 20
+        between = small_engine(arrival_rate=0.5)
+        assert between.run(max_events=1000,
+                           until=(horizon + following) / 2) == 20
+        assert between.run(max_events=20) == 20
+        assert rows(between.ledger) == rows(whole.ledger)
+
+    def test_a_plane_horizon_stops_where_its_budget_would(self):
+        cut = small_engine(**PLANE)
+        fired = cut.run(max_events=1000, until=500.0)
+        budget = small_engine(**PLANE)
+        assert budget.run(max_events=fired) == fired
+        assert rows(cut.ledger) == rows(budget.ledger)
 
     def test_same_seed_is_bit_identical(self):
         a, b = small_engine(seed=3), small_engine(seed=3)
