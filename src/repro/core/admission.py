@@ -322,12 +322,17 @@ class NetworkCAC:
             raise QosUnsatisfiable(request.delay_bound, achievable)
 
         channel = self._channel(trace)
-        committed: List[HopCommitment] = []
+        # What each reserved hop assumed and answered, for its
+        # HopCommitment once the whole walk commits.
+        reserved: List[Tuple[Number, Number]] = []
         touched = 0
+        tracer = _ospans._tracer
+        traced = tracer.enabled
         self._in_flight.add(leg_id)
         try:
-            with _ospans.span("admission.setup", connection=leg_id,
-                              hops=len(hops)) as setup_span:
+            with (tracer.span("admission.setup", connection=leg_id,
+                              hops=len(hops))
+                  if traced else _ospans._NULL_CONTEXT) as setup_span:
                 try:
                     # Phase 1: the SETUP message walks downstream,
                     # reserving.
@@ -349,25 +354,19 @@ class NetworkCAC:
                             )
 
                         touched = index + 1
-                        with _ospans.span("admission.hop",
+                        with (tracer.span("admission.hop",
                                           connection=leg_id, hop=index,
                                           switch=hop.switch,
-                                          out_link=hop.out_link):
+                                          out_link=hop.out_link)
+                              if traced else _ospans._NULL_CONTEXT):
                             result = yield from channel.deliver_steps(
                                 "reserve", index, hop.switch, hop.in_link,
                                 leg_id, process_reserve,
                             )
                         if on_reserved is not None:
                             on_reserved(hop.switch, leg_id)
-                        committed.append(HopCommitment(
-                            switch=hop.switch,
-                            in_link=hop.in_link,
-                            out_link=hop.out_link,
-                            cdv_in=cdv,
-                            advertised_bound=bounds[index],
-                            computed_bound=result.computed_bounds[
-                                request.priority],
-                        ))
+                        reserved.append(
+                            (cdv, result.computed_bounds[request.priority]))
                     # Phase 2: the COMMIT wave travels back upstream.
                     for index, hop in reversed(list(enumerate(hops))):
 
@@ -391,7 +390,8 @@ class NetworkCAC:
                         outcome, node = "timeout", failure.at_node
                     else:
                         outcome, node = "expired", request.route.source
-                    setup_span.tag(outcome=outcome)
+                    if traced:
+                        setup_span.tag(outcome=outcome)
                     yield from self._unwind_steps(
                         leg_id, "abort", AbortMessage,
                         reversed(list(enumerate(hops[:touched]))),
@@ -400,11 +400,21 @@ class NetworkCAC:
                         trace.record(RejectMessage(leg_id, node, str(failure)))
                     _finish(outcome)
                     raise
-                setup_span.tag(outcome="accepted")
+                if traced:
+                    setup_span.tag(outcome="accepted")
         finally:
             self._in_flight.discard(leg_id)
 
-        established = EstablishedConnection(request, tuple(committed))
+        established = EstablishedConnection(request, tuple(
+            HopCommitment(
+                switch=hop.switch,
+                in_link=hop.in_link,
+                out_link=hop.out_link,
+                cdv_in=cdv,
+                advertised_bound=bound,
+                computed_bound=computed,
+            )
+            for hop, bound, (cdv, computed) in zip(hops, bounds, reserved)))
         self._established[request.name] = established
         if trace is not None:
             trace.record(ConnectedMessage(

@@ -219,6 +219,9 @@ class SwitchCAC:
         self.filter_per_input = filter_per_input
         #: out link -> {priority: PortState}, priorities ascending.
         self._ports: Dict[str, Dict[int, PortState]] = {}
+        #: out link -> {priority: same-link ports of strictly lower
+        #: priority, highest first}, kept by configure_link.
+        self._below: Dict[str, Dict[int, Tuple[PortState, ...]]] = {}
         #: committed and pending (reserved, uncommitted) legs, in order.
         self._committed: Dict[str, Leg] = {}
         self._pending: Dict[str, Leg] = {}
@@ -255,6 +258,12 @@ class SwitchCAC:
         obs = self._rebind()
         if obs.enabled:
             (obs.cache_hits if hit else obs.cache_misses)[cache].inc()
+
+    def _count(self, op: str) -> None:
+        """Bump one op counter (``reserves``, ``commits``, ...)."""
+        obs = self._rebind()
+        if obs.enabled:
+            getattr(obs, op).inc()
 
     # ------------------------------------------------------------------
     # Configuration
@@ -300,6 +309,11 @@ class SwitchCAC:
             port.advertised_bound = bounds[priority]
             ports[priority] = port
         self._ports[out_link] = ports
+        self._below[out_link] = {
+            priority: tuple(port for lower, port in ports.items()
+                            if lower > priority)
+            for priority in ports
+        }
 
     def advertised_bound(self, out_link: str, priority: int) -> Number:
         """The fixed bound ``D(j, p)`` the switch guarantees."""
@@ -361,11 +375,6 @@ class SwitchCAC:
                 f"no port for priority {priority} on link {out_link!r}"
             ) from None
 
-    def _ports_below(self, out_link: str, priority: int) -> List[PortState]:
-        """Same-link ports of strictly lower priority, highest first."""
-        return [port for lower, port in self._ports[out_link].items()
-                if lower > priority]
-
     def sia(self, in_link: str, out_link: str, priority: int) -> BitStream:
         """``Sia(i, j, p)``: the per-pair per-priority aggregate."""
         port = self._ports.get(out_link, {}).get(priority)
@@ -405,7 +414,7 @@ class SwitchCAC:
         rate = stream.long_run_rate
         base = self._in_link_rate.get(in_link, 0)
         self._in_link_rate[in_link] = (base + rate) if add else (base - rate)
-        for lower in self._ports_below(leg.out_link, leg.priority):
+        for lower in self._below[leg.out_link][leg.priority]:
             lower.apply_higher(in_link, stream, add)
         self.port(leg.out_link, leg.priority).apply_same(in_link, stream, add)
 
@@ -515,7 +524,7 @@ class SwitchCAC:
             ))
 
         # Steps 5-6: every lower real-time priority on the same port.
-        for lower_port in self._ports_below(out_link, priority):
+        for lower_port in self._below[out_link][priority]:
             soa_lower = lower_port.soa()
             if soa_lower.is_zero:
                 continue  # no traffic to disturb
@@ -573,7 +582,7 @@ class SwitchCAC:
         leg = Leg(connection_id, in_link, out_link, priority, stream)
         result = self._checked(leg)
         self._record("admit", connection_id, leg)
-        self._rebind().admits.inc()
+        self._count("admits")
         return result
 
     def release(self, connection_id: str) -> Leg:
@@ -601,7 +610,7 @@ class SwitchCAC:
                 f"left untouched"
             )
         leg = self._record("release", connection_id)
-        self._rebind().releases.inc()
+        self._count("releases")
         return leg
 
     # ------------------------------------------------------------------
@@ -636,7 +645,7 @@ class SwitchCAC:
             return self._results[connection_id]
         result = self._results[connection_id] = self._checked(leg)
         self._record("reserve", connection_id, leg)
-        self._rebind().reserves.inc()
+        self._count("reserves")
         return result
 
     def commit(self, connection_id: str) -> Leg:
@@ -651,7 +660,7 @@ class SwitchCAC:
                 f"at switch {self.name!r}"
             )
         leg = self._record("commit", connection_id)
-        self._rebind().commits.inc()
+        self._count("commits")
         return leg
 
     def rollback(self, connection_id: str) -> Optional[Leg]:
@@ -669,7 +678,7 @@ class SwitchCAC:
             leg = self._record("release", connection_id)
         else:
             return None
-        self._rebind().rollbacks.inc()
+        self._count("rollbacks")
         return leg
 
     def expire(self, connection_id: str) -> Optional[Leg]:
@@ -688,7 +697,7 @@ class SwitchCAC:
         if connection_id not in self._pending:
             return None
         leg = self._record("abort", connection_id)
-        self._rebind().expiries.inc()
+        self._count("expiries")
         return leg
 
     def _clear(self) -> None:

@@ -70,9 +70,12 @@ class Route:
     def __init__(self, network: Network, link_names: Sequence[str]):
         if not link_names:
             raise RoutingError("a route needs at least one link")
-        self._network = network
-        self._links: List[Link] = [network.link(name) for name in link_names]
-        for earlier, later in zip(self._links, self._links[1:]):
+        links = self._links = [network.link(name) for name in link_names]
+        hops: List[Hop] = []
+        if network.node(links[0].src).is_switch:
+            # The first link is itself a switch output port.
+            hops.append(Hop(links[0].src, "@source", links[0].name))
+        for earlier, later in zip(links, links[1:]):
             if earlier.dst != later.src:
                 raise RoutingError(
                     f"links {earlier.name!r} and {later.name!r} do not "
@@ -82,6 +85,9 @@ class Route:
                 raise RoutingError(
                     f"intermediate node {earlier.dst!r} is not a switch"
                 )
+            hops.append(Hop(earlier.dst, earlier.name, later.name))
+        #: The queueing points, built once: they depend on the links alone.
+        self._hops: Tuple[Hop, ...] = tuple(hops)
 
     @property
     def source(self) -> str:
@@ -111,14 +117,11 @@ class Route:
         the ``in_link`` of the first hop.  A route that starts directly
         at a switch treats a synthetic ``"@source"`` port as its first
         incoming link.
+
+        Every call returns a fresh list of the same :class:`Hop`
+        objects, which the route builds once.
         """
-        result: List[Hop] = []
-        if self._network.node(self.source).is_switch:
-            # The first link is itself a switch output port.
-            result.append(Hop(self.source, "@source", self._links[0].name))
-        for earlier, later in zip(self._links, self._links[1:]):
-            result.append(Hop(earlier.dst, earlier.name, later.name))
-        return result
+        return list(self._hops)
 
     def __len__(self) -> int:
         return len(self._links)

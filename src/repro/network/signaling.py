@@ -27,7 +27,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field, fields as dataclass_fields
-from typing import Callable, List, Optional, TypeVar, Union
+from typing import Callable, List, Optional, Tuple, TypeVar, Union
 
 from ..core.bitstream import Number
 from ..exceptions import RetryExhausted, SignalingTimeout, SwitchUnavailable
@@ -219,10 +219,6 @@ class SignalingTrace:
         return iter(self.messages)
 
 
-class _Lost(Exception):
-    """Internal: no (timely) response to this delivery attempt."""
-
-
 def drain_steps(steps, clock):
     """Run a step generator to completion against ``clock``.
 
@@ -335,17 +331,17 @@ class SignalingChannel:
                 connection, at_node, phase, hop, kind, detail,
             ))
 
-    def _attempt_steps(self, phase: str, hop: int, at_node: str, link: str,
-                       connection: str, process: Callable[[], T]):
-        """One delivery attempt as a step generator.
+    def _intercept(self, phase: str, hop: int, at_node: str, link: str,
+                   connection: str) -> Tuple[bool, float, bool]:
+        """Consult the injector for one delivery attempt.
 
-        Yields every elapse of simulated time (transit, injected delay,
-        timeout) and no zero-length wait, so a clean exchange is
-        transit, process, transit; raises :class:`_Lost` on silence;
-        returns the response.
+        Fires the attempt's faults (a crash, a link failure) and records
+        each one; returns ``(lost, delay, duplicate)``: whether the
+        message vanishes, how long an injected delay holds it, and
+        whether a second copy follows it.
         """
-        specs = (self.injector.intercept(phase, hop, connection)
-                 if self.injector is not None else [])
+        injector = self.injector
+        specs = injector.intercept(phase, hop, connection)
         lost = False
         delay = 0.0
         duplicate = False
@@ -356,7 +352,7 @@ class SignalingChannel:
                 self._record_fault(connection, at_node, phase, hop, CRASH)
                 lost = True
             elif spec.kind == LINK_FAIL:
-                self.injector.fail_link(link)
+                injector.fail_link(link)
                 self._record_fault(connection, at_node, phase, hop,
                                    LINK_FAIL, detail=link)
             elif spec.kind == DROP:
@@ -370,47 +366,12 @@ class SignalingChannel:
                 duplicate = True
                 self._record_fault(connection, at_node, phase, hop,
                                    DUPLICATE)
-        if self.injector is not None and self.injector.link_down(link):
+        if injector.link_down(link):
             if not any(spec.kind == LINK_FAIL for spec in specs):
                 self._record_fault(connection, at_node, phase, hop,
                                    "link-down", detail=link)
             lost = True
-        if lost:
-            yield self.hop_timeout
-            raise _Lost(f"no response from {at_node!r}")
-        if self.hop_latency > 0.0:
-            # Message transit down the link to the receiving switch.
-            yield self.hop_latency
-        late = delay > self.hop_timeout
-        if delay > 0.0:
-            # An injected delay holds the message (up to the timeout).
-            yield min(delay, self.hop_timeout)
-        try:
-            result = process()
-        except SwitchUnavailable as unavailable:
-            # A dead switch answers nothing; the sender only sees the
-            # timeout expire.
-            yield self.hop_timeout
-            raise _Lost(str(unavailable)) from unavailable
-        if duplicate:
-            # The second copy of the message arrives right behind the
-            # first; the receiver must shrug it off.
-            try:
-                process()
-            except SwitchUnavailable:
-                pass
-        if late:
-            # Processed, but the response missed the sender's timeout:
-            # the sender retransmits, and the receiver will see the
-            # same message again (idempotency keeps this safe).
-            raise _Lost(
-                f"response from {at_node!r} arrived after {delay} > "
-                f"timeout {self.hop_timeout}"
-            )
-        if self.hop_latency > 0.0:
-            # Response transit back to the sender.
-            yield self.hop_latency
-        return result
+        return lost, delay, duplicate
 
     def deliver_steps(self, phase: str, hop: int, at_node: str, link: str,
                       connection: str, process: Callable[[], T]):
@@ -422,49 +383,92 @@ class SignalingChannel:
         :class:`~repro.exceptions.SwitchRejection`) propagate untouched
         because a REJECT *is* a response.  Raises
         :class:`~repro.exceptions.SignalingTimeout` once the retry
-        budget is exhausted.
+        budget is exhausted; its cause is the
+        :class:`~repro.exceptions.RetryExhausted`, whose own cause says
+        what the last attempt met: silence (a :class:`TimeoutError`, or
+        the :class:`~repro.exceptions.SwitchUnavailable` of a dead
+        switch) or a response that came too late.
 
         The repository's one retry loop: capped exponential backoff with
         full jitter (:class:`~repro.robustness.retry.RetryPolicy`), with
-        every wait -- timeout or backoff -- a ``yield`` rather than a
-        ``clock.advance``, so the same exchange can run synchronously
-        (:func:`drain_steps`) *or* as an engine process.
+        every wait -- transit, injected delay, timeout, backoff -- a
+        ``yield`` rather than a ``clock.advance``, so the same exchange
+        can run synchronously (:func:`drain_steps`) *or* as an engine
+        process.  No zero-length wait is yielded, so a clean exchange is
+        transit, process, transit.
         """
         registry = self._registry
         policy = self.retry_policy
+        hop_timeout = self.hop_timeout
+        hop_latency = self.hop_latency
         sent_at = self.clock.now()
-        try:
-            attempt = 0
-            while True:
+        attempt = 0
+        while True:
+            lost, delay, duplicate = (
+                self._intercept(phase, hop, at_node, link, connection)
+                if self.injector is not None else (False, 0.0, False))
+            if lost:
+                yield hop_timeout
+                silence: Exception = TimeoutError(
+                    f"no response from {at_node!r}")
+            else:
+                if hop_latency > 0.0:
+                    # Message transit down the link to the receiving
+                    # switch.
+                    yield hop_latency
+                if delay > 0.0:
+                    # An injected delay holds the message (up to the
+                    # timeout).
+                    yield min(delay, hop_timeout)
                 try:
-                    result = yield from self._attempt_steps(
-                        phase, hop, at_node, link, connection, process)
-                    break
-                except _Lost as exc:
-                    elapsed = self.clock.now() - sent_at
-                    if attempt + 1 >= policy.max_attempts:
-                        raise RetryExhausted(attempt + 1, elapsed) from exc
-                    backoff = policy.backoff_delay(attempt, self.rng)
-                    if (policy.deadline is not None
-                            and elapsed + backoff > policy.deadline):
-                        raise RetryExhausted(attempt + 1, elapsed) from exc
-                    if registry.enabled:
-                        registry.counter("signaling_retransmits_total",
-                                         phase=phase).inc()
-                    if self.trace is not None:
-                        self.trace.record(RetryEvent(
-                            connection, at_node, phase, hop, attempt + 1,
-                            backoff,
-                        ))
-                    yield backoff
-                    attempt += 1
-        except RetryExhausted as exhausted:
+                    result = process()
+                except SwitchUnavailable as unavailable:
+                    # A dead switch answers nothing; the sender only sees
+                    # the timeout expire.  Its error is kept without the
+                    # traceback, which would tie it to this frame.
+                    silence = unavailable.with_traceback(None)
+                    yield hop_timeout
+                else:
+                    if duplicate:
+                        # The second copy of the message arrives right
+                        # behind the first; the receiver must shrug it off.
+                        try:
+                            process()
+                        except SwitchUnavailable:
+                            pass
+                    if delay <= hop_timeout:
+                        break
+                    # Processed, but the response missed the sender's
+                    # timeout: the sender retransmits, and the receiver
+                    # will see the same message again (idempotency
+                    # keeps this safe).
+                    silence = TimeoutError(
+                        f"response from {at_node!r} arrived after {delay} "
+                        f"> timeout {hop_timeout}")
+            attempt += 1
+            elapsed = self.clock.now() - sent_at
+            backoff = (policy.backoff_delay(attempt - 1, self.rng)
+                       if attempt < policy.max_attempts else None)
+            if backoff is None or (policy.deadline is not None
+                                   and elapsed + backoff > policy.deadline):
+                if registry.enabled:
+                    registry.counter("signaling_timeouts_total",
+                                     phase=phase).inc()
+                exhausted = RetryExhausted(attempt, elapsed)
+                exhausted.__cause__ = silence
+                raise SignalingTimeout(
+                    connection, at_node, phase, attempt) from exhausted
             if registry.enabled:
-                registry.counter("signaling_timeouts_total",
+                registry.counter("signaling_retransmits_total",
                                  phase=phase).inc()
-            raise SignalingTimeout(
-                connection, at_node, phase, exhausted.attempts,
-            ) from exhausted
+            if self.trace is not None:
+                self.trace.record(RetryEvent(
+                    connection, at_node, phase, hop, attempt, backoff,
+                ))
+            yield backoff
+        if hop_latency > 0.0:
+            # Response transit back to the sender.
+            yield hop_latency
         if registry.enabled:
             registry.counter("signaling_messages_total", phase=phase).inc()
             registry.histogram(

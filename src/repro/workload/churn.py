@@ -46,7 +46,8 @@ from ..obs import metrics as _om
 from ..rtnet.topology import build_rtnet, terminal_name
 from ..sim.engine import Engine, EventHandle
 from .policies import AdmissionPolicy, FirstPathPolicy, make_policy
-from .stats import ChurnReport, batch_means, journal_digest_of, summarize
+from .stats import (ChurnReport, batch_means, journal_digest_of, left_sum,
+                    summarize)
 
 __all__ = [
     "TrafficClass",
@@ -651,7 +652,7 @@ def blocking_curve(loads: Sequence[float],
             blocked=blocked,
             blocking=blocking,
             ci_half_width=half,
-            carried_erlangs=sum(r.carried_erlangs for r in cell)
+            carried_erlangs=left_sum(r.carried_erlangs for r in cell)
             / len(cell),
             digests=tuple(r.ledger_digest for r in cell),
         ))

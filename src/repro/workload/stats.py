@@ -80,6 +80,20 @@ def _t_critical(df: int) -> float:
     return 1.96
 
 
+def left_sum(values: Iterable[float]) -> float:
+    """Sum left to right, rounding after every term.
+
+    Built-in :func:`sum` compensates float rounding since Python 3.12,
+    so the same values could sum to another last bit on another
+    interpreter; every float total a report carries comes from this
+    loop instead, which rounds the way ``sum`` did up to Python 3.11.
+    """
+    total = 0
+    for value in values:
+        total += value
+    return total
+
+
 def batch_means(values: Sequence[float]) -> Tuple[float, float]:
     """Mean and 95% half-width over approximately independent batches.
 
@@ -92,10 +106,10 @@ def batch_means(values: Sequence[float]) -> Tuple[float, float]:
     n = len(values)
     if n == 0:
         return 0.0, 0.0
-    mean = sum(values) / n
+    mean = left_sum(values) / n
     if n == 1:
         return mean, 0.0
-    variance = sum((v - mean) ** 2 for v in values) / (n - 1)
+    variance = left_sum((v - mean) ** 2 for v in values) / (n - 1)
     half = _t_critical(n - 1) * (variance ** 0.5) / (n ** 0.5)
     return mean, half
 
@@ -412,8 +426,8 @@ def summarize(ledger: Sequence["ChurnRecord"],
         blocked=total_blocked,
         blocking=total_blocked / total_arrivals if total_arrivals else 0.0,
         blocking_ci=batch_means(overall_ratios)[1],
-        carried_erlangs=sum(s.carried_erlangs for s in per_class),
-        offered_erlangs=sum(s.offered_erlangs for s in per_class),
+        carried_erlangs=left_sum(s.carried_erlangs for s in per_class),
+        offered_erlangs=left_sum(s.offered_erlangs for s in per_class),
         per_class=tuple(per_class),
         link_utilization=tuple(link_summary),
         ledger_digest=ledger_digest(ledger),

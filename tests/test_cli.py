@@ -1,6 +1,8 @@
 """The repro-eval command-line interface."""
 
+import builtins
 import hashlib
+import math
 
 import pytest
 
@@ -21,6 +23,25 @@ PAPER_ARTIFACTS = {
         "e33a4c51e1d5edf0a78e86a51763624a5fad7ad5d6fd5a6fbd0d656307c085b6",
     "vbr":
         "dc3c86f7e25697a4ec2c0599d37e3b695c8f0a522e5157b782d39f3db22ba90c",
+}
+
+
+#: SHA-256 of ``repro-eval churn ... --json``.  The report's float totals
+#: are summed left to right, so the digests hold on every interpreter,
+#: including those whose built-in ``sum()`` compensates float rounding
+#: (Python 3.12 and later).
+CHURN_JSON = {
+    "k-alternate":
+        ("83e8f2936b1f04b7e9af2e3b028a73337b40018bc41797dbb4279a6a83162c3d",
+         ["--loads", "1", "2", "3", "--policy", "k-alternate"]),
+    "first-path-plane":
+        ("24925af95b1e5aa5b181f1e2c1b446b530bfeba6810d18e3c623444578acd955",
+         ["--loads", "1", "2", "4", "--policy", "first-path",
+          "--setup-latency", "2", "--reservation-ttl", "40"]),
+    "k-alternate-plane":
+        ("1adfdbcfaaac7b6063b854df6a1fe9debced00c65cffba74f3827188f35af03b",
+         ["--loads", "1", "2", "4", "--policy", "k-alternate",
+          "--setup-latency", "2", "--reservation-ttl", "40"]),
 }
 
 
@@ -181,6 +202,33 @@ class TestChurnCommand:
             "--setup-latency", "2", "--reservation-ttl", "40", "--json"))
         assert payload["setup_latency"] == 2.0
         assert payload["reservation_ttl"] == 40.0
+
+    @pytest.mark.parametrize("run_name", list(CHURN_JSON))
+    def test_json_is_byte_identical(self, capsys, run_name):
+        digest, argv = CHURN_JSON[run_name]
+        out = run(capsys, "churn", *argv, "--events", "800", "--seed", "7",
+                  "--json")
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("run_name", list(CHURN_JSON))
+    def test_json_does_not_depend_on_how_sum_rounds(self, capsys,
+                                                    monkeypatch, run_name):
+        """Built-in ``sum()`` replaced by an exactly rounded float sum
+        (Python 3.12 compensates, which moves the same last bits) leaves
+        the report unchanged: no float total comes from it."""
+        builtin_sum = builtins.sum
+
+        def exact_sum(values, start=0):
+            values = list(values)
+            if any(isinstance(value, float) for value in values):
+                return math.fsum([start, *values])
+            return builtin_sum(values, start)
+
+        monkeypatch.setattr(builtins, "sum", exact_sum)
+        digest, argv = CHURN_JSON[run_name]
+        out = run(capsys, "churn", *argv, "--events", "800", "--seed", "7",
+                  "--json")
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_setup_latency_changes_the_trajectory(self, capsys):
         import json

@@ -2,11 +2,15 @@
 
 from fractions import Fraction as F
 
+import pytest
+
 from repro.core.admission import NetworkCAC
 from repro.core.traffic import cbr
 from repro.network.connection import ConnectionRequest
 from repro.network.routing import shortest_path
 from repro.network.topology import line_network
+from repro.exceptions import SwitchRejection
+from repro.obs import spans
 from repro.obs.clock import ManualClock
 from repro.obs.spans import NULL_TRACER, Tracer
 
@@ -121,6 +125,54 @@ class TestSetupSpanTree:
         assert [h.tags["switch"] for h in hops] == [
             hop.switch for hop in established.hops]
         assert root.tags["outcome"] == "accepted"
+
+    def test_an_untraced_setup_opens_no_span(self, monkeypatch):
+        opened = []
+
+        def counting(owner):
+            original = owner.span
+
+            def span(*args, **tags):
+                opened.append(args)
+                return original(*args, **tags)
+            return span
+
+        monkeypatch.setattr(spans, "span", counting(spans))
+        monkeypatch.setattr(spans.NullTracer, "span",
+                            counting(spans.NullTracer))
+        previous = spans.set_tracer(NULL_TRACER)
+        try:
+            net = line_network(4, bounds={0: 32}, terminals_per_switch=1)
+            cac = NetworkCAC(net)
+            cac.setup(self.request(net))
+            cac.teardown("vc0")
+        finally:
+            spans.set_tracer(previous)
+        assert opened == []
+
+    def test_a_traced_setup_keeps_its_span_tags(self, obs_enabled):
+        _registry, tracer = obs_enabled
+        net = line_network(3, bounds={0: 32}, terminals_per_switch=1)
+        route = shortest_path(net, "t0.0", "t2.0")
+        cac = NetworkCAC(net)
+        cac.setup(ConnectionRequest("vc0", cbr(F(1, 8)), route))
+        # Refused at its first hop: the access link cannot carry
+        # 1/8 + 15/16 of its capacity.
+        with pytest.raises(SwitchRejection):
+            cac.setup(ConnectionRequest("vc1", cbr(F(15, 16)), route))
+        accepted, rejected = [s for s in tracer.roots
+                              if s.name == "admission.setup"]
+        assert accepted.tags == {"connection": "vc0", "hops": 3,
+                                 "outcome": "accepted"}
+        assert [hop.tags for hop in accepted.children] == [
+            {"connection": "vc0", "hop": index, "switch": f"s{index}",
+             "out_link": link}
+            for index, link in enumerate(("s0->s1", "s1->s2", "s2->t2.0"))]
+        assert rejected.tags == {"connection": "vc1", "hops": 3,
+                                 "outcome": "rejected"}
+        assert [hop.tags for hop in rejected.children] == [
+            {"connection": "vc1", "hop": 0, "switch": "s0",
+             "out_link": "s0->s1"}]
 
     def test_each_hop_nests_its_admission_check(self, obs_enabled):
         _registry, tracer = obs_enabled

@@ -7,7 +7,8 @@ import random
 import pytest
 
 from repro.core.admission import NetworkCAC
-from repro.exceptions import RetryExhausted, SignalingTimeout, SwitchRejection
+from repro.exceptions import (RetryExhausted, SignalingTimeout, SwitchRejection,
+                              SwitchUnavailable)
 from repro.network.signaling import (RetryEvent, SignalingChannel,
                                      SignalingTrace, drain_steps)
 from repro.network.topology import star_network
@@ -144,6 +145,47 @@ class TestRetryCall:
         assert excinfo.value.attempts == 1
         assert len(channel.injector.injected) == 1
         assert channel.clock.now() == HOP_TIMEOUT
+
+    def test_a_drop_schedule_ends_in_silence(self):
+        channel = dropping_channel(99, RetryPolicy(max_attempts=3))
+        with pytest.raises(SignalingTimeout) as excinfo:
+            deliver(channel, Receiver())
+        exhausted = excinfo.value.__cause__
+        assert isinstance(exhausted, RetryExhausted)
+        assert exhausted.attempts == 3
+        assert isinstance(exhausted.__cause__, TimeoutError)
+        assert str(exhausted.__cause__) == "no response from 'sw0'"
+
+    def test_a_late_schedule_ends_in_a_late_response(self):
+        late = HOP_TIMEOUT + 4.0
+        channel = SignalingChannel(
+            injector=FaultInjector(FaultPlan([FaultSpec(
+                DELAY, phase="reserve", hop=0, delay=late, count=99)])),
+            retry_policy=RetryPolicy(max_attempts=3), clock=ManualClock(),
+            hop_timeout=HOP_TIMEOUT)
+        receiver = Receiver()
+        with pytest.raises(SignalingTimeout) as excinfo:
+            deliver(channel, receiver)
+        exhausted = excinfo.value.__cause__
+        assert isinstance(exhausted, RetryExhausted)
+        assert exhausted.attempts == 3
+        assert str(exhausted.__cause__) == (
+            f"response from 'sw0' arrived after {late} > timeout "
+            f"{HOP_TIMEOUT}")
+        assert receiver.calls == 3   # every late copy was processed
+
+    def test_a_dead_switch_ends_in_its_own_error(self):
+        channel = dropping_channel(0, RetryPolicy(max_attempts=2))
+
+        def dead():
+            raise SwitchUnavailable("sw0")
+
+        with pytest.raises(SignalingTimeout) as excinfo:
+            deliver(channel, dead)
+        exhausted = excinfo.value.__cause__
+        assert isinstance(exhausted, RetryExhausted)
+        assert isinstance(exhausted.__cause__, SwitchUnavailable)
+        assert exhausted.__cause__.switch == "sw0"
 
     def test_on_retry_observes_every_resend(self):
         trace = SignalingTrace()

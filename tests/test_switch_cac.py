@@ -225,6 +225,26 @@ class TestMultiPriority:
         result = switch.check("in2", "out", 0, CBR_QUARTER)
         assert set(result.computed_bounds) == {0, 1, 2}
 
+    def test_a_check_rechecks_only_the_priorities_below_it(self):
+        switch = make_switch(bound=64, priorities=(0, 1, 2))
+        for priority in (0, 1, 2):
+            switch.admit(f"p{priority}", f"in{priority}", "out", priority,
+                         CBR_QUARTER)
+        assert set(switch.check("in3", "out", 1,
+                                CBR_QUARTER).computed_bounds) == {1, 2}
+        assert set(switch.check("in3", "out", 2,
+                                CBR_QUARTER).computed_bounds) == {2}
+
+    def test_a_reconfigured_link_rechecks_its_new_bounds(self):
+        switch = make_switch(bound=64, priorities=(0, 1))
+        switch.admit("lo", "in0", "out", 1, CBR_QUARTER)
+        loose = switch.check("in1", "out", 0, CBR_QUARTER)
+        assert loose.admitted and loose.computed_bounds[1] > 0
+        switch.configure_link("out", {0: 64,
+                                      1: loose.computed_bounds[1] / 2})
+        tight = switch.check("in1", "out", 0, CBR_QUARTER)
+        assert [v.priority for v in tight.violations] == [1]
+
     def test_idle_lower_priorities_skipped(self):
         switch = make_switch(bound=64, priorities=(0, 1, 2))
         result = switch.check("in0", "out", 0, CBR_QUARTER)
